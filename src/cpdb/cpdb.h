@@ -119,14 +119,28 @@
 /// scan — with provenance reads bounded at the same tid.
 ///
 /// Migration note (epoch stamp -> tid watermark): sessions are no longer
-/// stamped with the latch epoch. Staleness is a tid comparison —
-/// snapshot_tid() < Engine::CommittedTid() — and a stale pooled session
-/// is refreshed in place by re-pinning, not torn down and rebuilt, so
-/// SessionPool::built() stays flat under churn. SharedLatch::Epoch()
-/// still advances per exclusive release (the latch's own bookkeeping)
-/// but no session-visible semantics hang off it anymore; code that
-/// compared epochs to detect "committed state moved" should compare tid
+/// stamped with the latch epoch, and the latch keeps no epoch at all
+/// (the cpdb_latch_epoch series and the STATS `epoch` field are gone).
+/// Staleness is a tid comparison — snapshot_tid() <
+/// Engine::CommittedTid() — and a stale pooled session is refreshed in
+/// place by re-pinning, not torn down and rebuilt, so
+/// cpdb_sessions_built_total stays flat under churn. Code that compared
+/// epochs to detect "committed state moved" should compare tid
 /// watermarks instead.
+///
+/// Migration note (one observability model): the engine registry is the
+/// only counter store. CommitQueue::stats(), Engine::snapshot_stats(),
+/// net::Server::stats() and SessionPool::built()/reused()/refreshed()
+/// are gone; read the same numbers as registry series, e.g.
+/// `engine.metrics().GetCounter("cpdb_commits_total", "")->Value()`.
+/// The SLOWLOG verb (wire tag 12, now reserved and rejected),
+/// Engine::trace(), cpdb_serve's commit-only slow threshold flag, and
+/// the cpdb_slow_commits_total series / STATS `slow_commits` field are
+/// gone too: a commit slower than --slow-query-ms
+/// (Engine::SetSlowQueryThresholdUs) lands in the TRACES "slow" ring as a
+/// server.COMMIT (or, under N/H, server.APPLY) tree whose commit.queue/
+/// apply/seal/wake spans carry its tid, and counts in
+/// cpdb_slow_queries_total.
 ///
 /// Migration note (sessions vs standalone Editor): a directly created
 /// Editor is unchanged — private sequential tids from first_tid, its own

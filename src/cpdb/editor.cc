@@ -49,10 +49,11 @@ Status Editor::ResetTargetSnapshot(tree::Tree snapshot) {
   return universe_.ReplaceAt(target_root_, std::move(snapshot));
 }
 
-std::vector<tree::Path> Editor::StagedWriteClaims() const {
+std::vector<tree::Path> Editor::WriteClaims(
+    const update::Script& script) const {
   std::vector<tree::Path> claims;
-  claims.reserve(txn_script_.size());
-  for (const Update& u : txn_script_) {
+  claims.reserve(script.size());
+  for (const Update& u : script) {
     // The node whose child map the native replay mutates: the insert/
     // delete target itself, the destination's parent for a paste
     // (TreeTargetDb::ApplyOne writes via PutChild on the parent).

@@ -101,7 +101,13 @@ class Editor {
   /// maps its inserts/deletes/pastes mutate). The commit queue batches
   /// transactions with pairwise-disjoint writesets onto the apply pool.
   /// Empty when any op cannot be rebased (never parallelized).
-  std::vector<tree::Path> StagedWriteClaims() const;
+  std::vector<tree::Path> StagedWriteClaims() const {
+    return WriteClaims(txn_script_);
+  }
+
+  /// The same writeset for any `script` (a per-op commit's trace shows
+  /// it; see service::Session).
+  std::vector<tree::Path> WriteClaims(const update::Script& script) const;
 
   /// Mounts a read-only source database; must precede the first update.
   Status MountSource(wrap::SourceDb* source);

@@ -115,9 +115,8 @@ class Client {
   Result<std::string> Stats();
   /// Full metrics registry in Prometheus text exposition format.
   Result<std::string> Metrics();
-  /// Recent slow-commit spans (JSON; see obs::TraceBuffer::SlowLogJson).
-  Result<std::string> SlowLog();
-  /// Assembled trace trees (JSON; see obs::SpanStore::TracesJson).
+  /// Assembled trace trees, sampled and slow (JSON; see
+  /// obs::SpanStore::TracesJson).
   Result<std::string> Traces();
   /// Runs `verb` (one of kGetMod / kTraceBack / kGet) at `p` server-side
   /// and returns its span tree + cost counters as JSON instead of the

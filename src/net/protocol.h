@@ -25,7 +25,7 @@ namespace cpdb::net {
 //   body     ::= APPLY update | GETMOD path | TRACEBACK path | GET path
 //              | EXPLAIN verb:varint lp(path)
 //              | COMMIT | ABORT | PING | STATS | CHECKPOINT | DRAIN
-//              | METRICS | SLOWLOG | TRACES
+//              | METRICS | TRACES
 //   update   ::= kind:varint lp(target) lp(label) value lp(source)
 //   value    ::= 0 | 1 | 2 zigzag | 3 f64le | 4 lp(bytes)
 //   response ::= code:varint lp(body)
@@ -51,12 +51,17 @@ enum class ReqType : uint8_t {
   kCheckpoint = 9,  ///< admin: checkpoint the store under the latch
   kDrain = 10,      ///< admin: begin graceful drain (like SIGTERM)
   kMetrics = 11,    ///< admin: full registry, Prometheus text exposition
-  kSlowLog = 12,    ///< admin: recent slow-commit spans as JSON
+  // 12 is retired (the old commit slow log, now the TRACES "slow" ring)
+  // and stays reserved: decoders reject it, no later verb reuses it.
   kTraces = 13,     ///< admin: assembled trace trees as JSON
   kExplain = 14,    ///< run a GETMOD/TRACEBACK/GET, return its span tree
 };
 
 const char* ReqTypeName(ReqType t);
+
+/// True when `tag` names a verb of this protocol (the retired tag 12 does
+/// not).
+bool IsReqType(uint64_t tag);
 
 /// Response status. kRetry and kDraining are *typed overload answers*:
 /// the request was not executed and the client should back off and retry
@@ -114,7 +119,6 @@ struct Request {
   static Request Checkpoint() { return Of(ReqType::kCheckpoint); }
   static Request Drain() { return Of(ReqType::kDrain); }
   static Request Metrics() { return Of(ReqType::kMetrics); }
-  static Request SlowLog() { return Of(ReqType::kSlowLog); }
   static Request Traces() { return Of(ReqType::kTraces); }
   static Request Explain(ReqType verb, tree::Path p) {
     Request req = Of(ReqType::kExplain);

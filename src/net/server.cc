@@ -165,49 +165,33 @@ void Server::Stop() {
   Wait();
 }
 
-Server::Stats Server::stats() const {
-  MutexLock l(mu_);
-  return stats_;
-}
-
 void Server::RegisterMetrics() {
   obs::Registry& reg = engine_->metrics();
-  auto cb = [&reg](const char* name, const char* help, bool monotonic,
-                   std::function<double()> fn, const char* json_key) {
-    reg.SetCallback(name, help, monotonic, std::move(fn), "", json_key);
-  };
-  cb("cpdb_server_draining", "1 while a graceful drain is in progress",
-     false, [this] { return draining() ? 1.0 : 0.0; }, "draining");
-  cb("cpdb_connections_accepted_total", "Connections accepted", true,
-     [this] { return static_cast<double>(stats().accepted); }, "accepted");
-  cb("cpdb_connections_closed_total", "Connections closed", true,
-     [this] { return static_cast<double>(stats().closed); }, "closed");
-  cb("cpdb_requests_total", "Requests executed (all verbs)", true,
-     [this] { return static_cast<double>(stats().requests); }, "requests");
-  cb("cpdb_retries_total", "Transactions shed with RETRY", true,
-     [this] { return static_cast<double>(stats().retries); }, "retries");
-  cb("cpdb_bad_frames_total", "Framing violations (CRC/length/varint)",
-     true, [this] { return static_cast<double>(stats().bad_frames); },
-     "bad_frames");
-  cb("cpdb_bad_requests_total", "Well-framed but undecodable requests",
-     true, [this] { return static_cast<double>(stats().bad_requests); },
-     "bad_requests");
-  cb("cpdb_inflight_bytes", "Parsed-but-unanswered request bytes held",
-     false,
-     [this] {
-       MutexLock l(mu_);
-       return static_cast<double>(inflight_bytes_);
-     },
-     "inflight_bytes");
-  cb("cpdb_sessions_built_total", "Sessions built from scratch", true,
-     [this] { return static_cast<double>(pool_->built()); },
-     "sessions_built");
-  cb("cpdb_sessions_reused_total", "Pooled sessions handed back out", true,
-     [this] { return static_cast<double>(pool_->reused()); },
-     "sessions_reused");
-  cb("cpdb_sessions_refreshed_total", "Stale pooled sessions re-pinned O(1)",
-     true, [this] { return static_cast<double>(pool_->refreshed()); },
-     "sessions_refreshed");
+  reg.SetCallback(
+      "cpdb_server_draining", "1 while a graceful drain is in progress",
+      false, [this] { return draining() ? 1.0 : 0.0; }, "", "draining");
+  accepted_ = reg.GetCounter("cpdb_connections_accepted_total",
+                             "Connections accepted", "", "accepted");
+  closed_ = reg.GetCounter("cpdb_connections_closed_total",
+                           "Connections closed", "", "closed");
+  requests_ = reg.GetCounter("cpdb_requests_total",
+                             "Requests executed (all verbs)", "", "requests");
+  retries_ = reg.GetCounter("cpdb_retries_total",
+                            "Transactions shed with RETRY", "", "retries");
+  bad_frames_ = reg.GetCounter("cpdb_bad_frames_total",
+                               "Framing violations (CRC/length/varint)", "",
+                               "bad_frames");
+  bad_requests_ = reg.GetCounter("cpdb_bad_requests_total",
+                                 "Well-framed but undecodable requests", "",
+                                 "bad_requests");
+  reg.SetCallback(
+      "cpdb_inflight_bytes", "Parsed-but-unanswered request bytes held",
+      false,
+      [this] {
+        MutexLock l(mu_);
+        return static_cast<double>(inflight_bytes_);
+      },
+      "", "inflight_bytes");
 
   // Per-verb request latency: one labelled series, decode-to-flush
   // timing recorded in WorkerLoop. Data verbs also land in the flat
@@ -215,6 +199,7 @@ void Server::RegisterMetrics() {
   // there, but are still separable in Prometheus).
   for (uint8_t t = static_cast<uint8_t>(ReqType::kPing);
        t <= static_cast<uint8_t>(ReqType::kExplain); ++t) {
+    if (!IsReqType(t)) continue;  // the retired tag has no series
     ReqType type = static_cast<ReqType>(t);
     std::string verb = ReqTypeName(type);
     std::string json_key;
@@ -271,7 +256,7 @@ void Server::ParseFrames(Conn* conn) {
       // Framing violation: typed error, then close. The error rides the
       // pending queue as a pre-encoded response so it is answered after
       // the requests that preceded it, in pipeline order.
-      ++stats_.bad_frames;
+      bad_frames_->Inc();
       const char* what = ev == FrameReader::Event::kBadCrc ? "frame CRC mismatch"
                          : ev == FrameReader::Event::kTooLarge
                              ? "frame exceeds size limit"
@@ -336,13 +321,11 @@ void Server::EventLoop() {
         MutexLock l(mu_);
         bool idle = !c->busy && c->pending.empty() && c->done.empty();
         bool flushed = c->out_off >= c->out.size();
-        if (idle && (flushed || c->eof) &&
-            (c->closing || c->eof || drain_now)) {
-          close_now = true;
-          ++stats_.closed;
-        }
+        close_now = idle && (flushed || c->eof) &&
+                    (c->closing || c->eof || drain_now);
       }
       if (close_now) {
+        closed_->Inc();
         std::unique_ptr<service::Session> session;
         {
           MutexLock l(mu_);
@@ -405,8 +388,7 @@ void Server::EventLoop() {
           auto conn = std::make_unique<Conn>();
           conn->fd = cfd;
           conns_[cfd] = std::move(conn);
-          MutexLock l(mu_);
-          ++stats_.accepted;
+          accepted_->Inc();
         }
         continue;
       }
@@ -488,8 +470,7 @@ void Server::WorkerLoop() {
         if (!decoded.ok()) {
           resp = Response::Error(decoded.status().ToString());
           close_after = true;
-          MutexLock l(mu_);
-          ++stats_.bad_requests;
+          bad_requests_->Inc();
         } else {
           // Decoder guarantees the type is in range, so the verb index
           // is safe. Measured span: execute only (decode/encode/frame
@@ -499,9 +480,8 @@ void Server::WorkerLoop() {
           resp = ExecuteTraced(c, *decoded, &session);
           obs::Histogram* h = verb_us_[static_cast<size_t>(decoded->type)];
           if (h != nullptr) h->Record(obs::NowMicros() - start_us);
-          MutexLock l(mu_);
-          ++stats_.requests;
-          if (resp.code == RespCode::kRetry) ++stats_.retries;
+          requests_->Inc();
+          if (resp.code == RespCode::kRetry) retries_->Inc();
         }
         std::string payload;
         EncodeResponse(resp, &payload);
@@ -522,11 +502,15 @@ Response Server::ExecuteTraced(Conn* conn, const Request& req,
                                std::unique_ptr<service::Session>* session) {
   // Collect when the client asked (sampled trace context), when the verb
   // itself is a collection request (EXPLAIN), or when the slow-query
-  // watch is armed and this is a verb it covers. Everything else takes
-  // the zero-overhead path: Execute with a null tracer.
+  // watch is armed and this is a verb it covers: the reads, and the
+  // verbs that can commit (APPLY commits on its own under N/H), so a
+  // slow commit lands in the slow ring as a tree with its commit.*
+  // stages. Everything else takes the zero-overhead path: Execute with a
+  // null tracer.
   const bool slow_watched =
       (req.type == ReqType::kGetMod || req.type == ReqType::kTraceBack ||
-       req.type == ReqType::kGet) &&
+       req.type == ReqType::kGet || req.type == ReqType::kApply ||
+       req.type == ReqType::kCommit) &&
       engine_->spans().SlowThresholdUs() > 0;
   const bool explain = req.type == ReqType::kExplain;
   if (!req.trace.sampled && !explain && !slow_watched) {
@@ -566,8 +550,6 @@ Response Server::Execute(Conn* conn, const Request& req,
       return Response::Ok(StatsJson());
     case ReqType::kMetrics:
       return Response::Ok(engine_->metrics().RenderPrometheus());
-    case ReqType::kSlowLog:
-      return Response::Ok(engine_->trace().SlowLogJson());
     case ReqType::kTraces:
       return Response::Ok(engine_->spans().TracesJson());
     case ReqType::kCheckpoint: {
@@ -623,7 +605,11 @@ Response Server::Execute(Conn* conn, const Request& req,
 
   switch (req.type) {
     case ReqType::kApply: {
+      // Under N/H the APPLY is itself a commit: its stage spans hang
+      // directly under the request root.
+      if (tracer != nullptr) s->set_trace(tracer, tracer->root_span_id());
       Status st = s->Apply(req.update);
+      if (tracer != nullptr) s->set_trace(nullptr, 0);
       if (st.ok()) conn->in_txn = true;
       return st.ok() ? Response::Ok() : Response::Error(st.ToString());
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -89,7 +90,8 @@ class SpanCollector {
   /// e.g. the commit queue's stage timeline re-based into this trace).
   /// Returns its id, or 0 when inactive or full.
   uint64_t AppendTimed(const std::string& kind, uint64_t parent,
-                       double start_us, double dur_us, int64_t tid = -1);
+                       double start_us, double dur_us, int64_t tid = -1,
+                       std::string detail = std::string());
 
   Span* Find(uint64_t id);
 
@@ -110,24 +112,26 @@ class SpanCollector {
 };
 
 /// Engine-level store of assembled traces: per-root-kind recent rings for
-/// sampled requests plus one ring of slow offenders — TraceBuffer's
-/// commit flight recorder generalized to whole request trees. Backs the
-/// TRACES verb, the EXPLAIN verb's inline render, and the slow-query
-/// stderr log (--slow-query-ms), symmetric with the slow-commit log.
+/// sampled requests plus one ring of slow offenders — the one flight
+/// recorder for reads and commits alike (a slow commit is a
+/// "server.COMMIT" or "server.APPLY" tree whose commit.* stage spans
+/// carry its tid). Backs the TRACES verb, the EXPLAIN verb's inline
+/// render, and the slow-request stderr log (--slow-query-ms).
 class SpanStore {
  public:
   explicit SpanStore(size_t capacity = 64, size_t slow_capacity = 64)
       : cap_(capacity == 0 ? 1 : capacity),
         slow_cap_(slow_capacity == 0 ? 1 : slow_capacity) {}
 
-  /// <= 0 disables the slow-query log (the default).
-  void SetSlowThresholdUs(double us) CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    slow_threshold_us_ = us;
+  /// <= 0 disables the slow-request log (the default). The threshold is
+  /// an atomic, not state under mu_: the server reads it on every request
+  /// to decide whether to collect at all, and that check must take no
+  /// lock.
+  void SetSlowThresholdUs(double us) {
+    slow_threshold_us_.store(us, std::memory_order_relaxed);
   }
-  double SlowThresholdUs() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return slow_threshold_us_;
+  double SlowThresholdUs() const {
+    return slow_threshold_us_.load(std::memory_order_relaxed);
   }
 
   /// Records one request's spans (spans[0] must be the root). Sampled
@@ -179,92 +183,7 @@ class SpanStore {
   Ring slow_ CPDB_GUARDED_BY(mu_);
   uint64_t recorded_ CPDB_GUARDED_BY(mu_) = 0;
   uint64_t slow_recorded_ CPDB_GUARDED_BY(mu_) = 0;
-  double slow_threshold_us_ CPDB_GUARDED_BY(mu_) = 0;  ///< 0 = disabled
-};
-
-/// One committed transaction's timeline through the group-commit
-/// pipeline, stamped by the session that drove it. Durations are
-/// microseconds; stages are the commit queue's own phases:
-///
-///   queue_us  enqueue -> a leader picked the request up (cohort formed)
-///   apply_us  the cohort's in-order (or parallel) apply of closures
-///   seal_us   the single Database::Sync that made the cohort durable
-///   wake_us   seal -> this committer observed its done flag
-///   total_us  enqueue -> done, the latency the client paid
-struct CommitSpan {
-  int64_t tid = -1;
-  uint64_t cohort = 0;       ///< leader-assigned cohort sequence number
-  uint32_t cohort_size = 0;  ///< members sealed by the same fsync
-  bool parallel = false;     ///< apply ran on the disjoint-subtree pool
-  bool leader = false;       ///< this request led the cohort
-  double queue_us = 0;
-  double apply_us = 0;
-  double seal_us = 0;
-  double wake_us = 0;
-  double total_us = 0;
-  /// Staged write claims, pre-rendered ("/db/t/r" style) — the trace is
-  /// for a human reading SLOWLOG, not for re-running conflict checks.
-  std::vector<std::string> claims;
-};
-
-/// Ring buffer of recent commit timelines plus a second ring of the
-/// slowest offenders — the flight recorder behind the SLOWLOG verb.
-///
-/// Record() is called once per committed transaction by its session
-/// thread; a span past `slow_threshold_us` is copied into the slow ring
-/// and dumped to stderr (rate-unlimited: a server where every commit is
-/// slow SHOULD be loud). Lock-held work is O(span); the stderr write
-/// happens outside the lock.
-class TraceBuffer {
- public:
-  explicit TraceBuffer(size_t capacity = 256, size_t slow_capacity = 64)
-      : cap_(capacity == 0 ? 1 : capacity),
-        slow_cap_(slow_capacity == 0 ? 1 : slow_capacity) {}
-
-  /// <= 0 disables the slow log entirely.
-  void SetSlowThresholdUs(double us) CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    slow_threshold_us_ = us;
-  }
-  double SlowThresholdUs() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return slow_threshold_us_;
-  }
-
-  void Record(CommitSpan span) CPDB_EXCLUDES(mu_);
-
-  /// Most-recent-first copies (SLOWLOG answers with these).
-  std::vector<CommitSpan> Recent(size_t max = 64) const CPDB_EXCLUDES(mu_);
-  std::vector<CommitSpan> Slow(size_t max = 64) const CPDB_EXCLUDES(mu_);
-
-  uint64_t recorded() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return recorded_;
-  }
-  uint64_t slow_recorded() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return slow_recorded_;
-  }
-
-  /// One span as a JSON object — shared by SLOWLOG and the stderr dump
-  /// so a slow line can be pasted into any JSON tooling.
-  static std::string SpanJson(const CommitSpan& span);
-
-  /// JSON array, most recent first: {"slow_threshold_us":...,
-  /// "recorded":N,"slow":[span,...]}.
-  std::string SlowLogJson(size_t max = 64) const CPDB_EXCLUDES(mu_);
-
- private:
-  const size_t cap_;
-  const size_t slow_cap_;
-  mutable Mutex mu_;
-  std::vector<CommitSpan> ring_ CPDB_GUARDED_BY(mu_);
-  std::vector<CommitSpan> slow_ CPDB_GUARDED_BY(mu_);
-  size_t next_ CPDB_GUARDED_BY(mu_) = 0;
-  size_t slow_next_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t recorded_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t slow_recorded_ CPDB_GUARDED_BY(mu_) = 0;
-  double slow_threshold_us_ CPDB_GUARDED_BY(mu_) = 0;  ///< 0 = disabled
+  std::atomic<double> slow_threshold_us_{0};  ///< <= 0 = disabled
 };
 
 }  // namespace cpdb::obs

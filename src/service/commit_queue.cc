@@ -128,15 +128,20 @@ void CommitQueue::RunCohort() {
   if (publish_) publish_();
   latch_->UnlockExclusive();
 
+  // Leaders are serialized (leader_active_ until the baton passes below),
+  // so the max-cohort read-compare-set cannot race another leader.
+  const auto size = static_cast<int64_t>(cohort.size());
   if (metrics_.cohort_size) {
-    metrics_.cohort_size->Record(static_cast<double>(cohort.size()));
+    metrics_.cohort_size->Record(static_cast<double>(size));
+  }
+  if (metrics_.commits) metrics_.commits->Inc(cohort.size());
+  if (metrics_.cohorts) metrics_.cohorts->Inc();
+  if (metrics_.combined) metrics_.combined->Inc(cohort.size() - 1);
+  if (metrics_.max_cohort && size > metrics_.max_cohort->Value()) {
+    metrics_.max_cohort->Set(size);
   }
 
   mu_.Lock();
-  stats_.commits += cohort.size();
-  stats_.cohorts += 1;
-  stats_.combined += cohort.size() - 1;
-  if (cohort.size() > stats_.max_cohort) stats_.max_cohort = cohort.size();
   for (Request* r : cohort) {
     if (!sealed.ok() && r->result.ok()) r->result = sealed;
     r->lead_us = lead_us;
@@ -158,8 +163,6 @@ void CommitQueue::RunCohort() {
 }
 
 void CommitQueue::ApplyCohort(const std::vector<Request*>& cohort) {
-  uint64_t parallel_cohorts = 0;
-  uint64_t parallel_applies = 0;
   size_t i = 0;
   while (i < cohort.size()) {
     // Grow a maximal run of consecutive members with declared writesets
@@ -191,8 +194,10 @@ void CommitQueue::ApplyCohort(const std::vector<Request*>& cohort) {
                                   cohort.begin() + static_cast<long>(end));
       for (Request* r : batch) r->parallel = true;
       RunParallelBatch(batch);
-      ++parallel_cohorts;
-      parallel_applies += batch.size();
+      if (metrics_.parallel_cohorts) metrics_.parallel_cohorts->Inc();
+      if (metrics_.parallel_applies) {
+        metrics_.parallel_applies->Inc(batch.size());
+      }
       if (metrics_.parallel_batch) {
         metrics_.parallel_batch->Record(static_cast<double>(batch.size()));
       }
@@ -202,11 +207,6 @@ void CommitQueue::ApplyCohort(const std::vector<Request*>& cohort) {
       }
     }
     i = end;
-  }
-  if (parallel_cohorts > 0) {
-    MutexLock l(mu_);
-    stats_.parallel_cohorts += parallel_cohorts;
-    stats_.parallel_applies += parallel_applies;
   }
 }
 
@@ -251,11 +251,6 @@ void CommitQueue::WorkerLoop() {
 size_t CommitQueue::Pending() const {
   MutexLock l(mu_);
   return queue_.size();
-}
-
-CommitQueue::Stats CommitQueue::stats() const {
-  MutexLock l(mu_);
-  return stats_;
 }
 
 }  // namespace cpdb::service

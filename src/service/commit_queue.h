@@ -97,8 +97,8 @@ class CommitQueue {
   /// writes — or empty when unknown (always safe: empty claims pin the
   /// member to in-order apply). The caller must hold neither the latch
   /// nor a read grant (see SharedLatch's reentrancy rule). `timeline`,
-  /// when non-null, receives this transaction's stage breakdown (sessions
-  /// forward it into the engine's trace buffer).
+  /// when non-null, receives this transaction's stage breakdown (a traced
+  /// session re-bases it into the request's span tree).
   Status Commit(std::function<Status()> apply,
                 std::vector<tree::Path> claims = {},
                 Timeline* timeline = nullptr) CPDB_EXCLUDES(mu_, *latch_);
@@ -129,15 +129,17 @@ class CommitQueue {
     sync_probe_ = std::move(probe);
   }
 
-  /// Stage-latency sinks, commit-weighted: each committed transaction
-  /// records its own queue/apply/seal/wake/total durations, so a
-  /// 16-member cohort counts 16 observations of the one seal it shared —
-  /// percentiles then answer "what did a COMMIT experience", matching the
-  /// benches' client-side latency. `cohort_size` and `parallel_batch` are
-  /// cohort-weighted (one observation per cohort / per parallel run).
-  /// Any pointer may be null. Set before committers start, like the
-  /// publish/seal hooks: the fields are written once single-threaded.
-  struct StageMetrics {
+  /// The queue's registry sinks. Stage latencies are commit-weighted:
+  /// each committed transaction records its own queue/apply/seal/wake/
+  /// total durations, so a 16-member cohort counts 16 observations of the
+  /// one seal it shared — percentiles then answer "what did a COMMIT
+  /// experience", matching the benches' client-side latency.
+  /// `cohort_size` and `parallel_batch` are cohort-weighted (one
+  /// observation per cohort / per parallel run); the counters are bumped
+  /// by the leader once per cohort. Any pointer may be null. Set before
+  /// committers start, like the publish/seal hooks: the fields are
+  /// written once single-threaded.
+  struct Metrics {
     obs::Histogram* queue_us = nullptr;
     obs::Histogram* apply_us = nullptr;
     obs::Histogram* seal_us = nullptr;
@@ -145,21 +147,17 @@ class CommitQueue {
     obs::Histogram* total_us = nullptr;
     obs::Histogram* cohort_size = nullptr;
     obs::Histogram* parallel_batch = nullptr;  ///< members per parallel run
+    obs::Counter* commits = nullptr;           ///< transactions committed
+    obs::Counter* cohorts = nullptr;  ///< exclusive grants (= seal calls)
+    obs::Counter* combined = nullptr;  ///< rode another leader's seal
+    obs::Gauge* max_cohort = nullptr;  ///< largest cohort so far
+    obs::Counter* parallel_cohorts = nullptr;  ///< batches run on the pool
+    obs::Counter* parallel_applies = nullptr;  ///< commits run on the pool
   };
-  void set_metrics(const StageMetrics& m) { metrics_ = m; }
+  void set_metrics(const Metrics& m) { metrics_ = m; }
 
   /// Committers currently enqueued and not yet applied.
   size_t Pending() const CPDB_EXCLUDES(mu_);
-
-  struct Stats {
-    uint64_t commits = 0;   ///< transactions committed
-    uint64_t cohorts = 0;   ///< exclusive grants (= seal calls)
-    uint64_t combined = 0;  ///< commits that rode another leader's seal
-    uint64_t max_cohort = 0;
-    uint64_t parallel_cohorts = 0;  ///< disjoint batches applied in parallel
-    uint64_t parallel_applies = 0;  ///< commits applied on the pool
-  };
-  Stats stats() const CPDB_EXCLUDES(mu_);
 
   /// Test-only crash injection around the seal (service_test's
   /// crash-during-group-commit coverage). Called on the leader thread,
@@ -217,13 +215,12 @@ class CommitQueue {
   std::function<void()> publish_;
   std::function<bool(const std::vector<tree::Path>&)> prepare_parallel_;
   std::function<uint64_t()> sync_probe_;
-  StageMetrics metrics_;  ///< set once before committers start
+  Metrics metrics_;  ///< set once before committers start
 
   mutable Mutex mu_;
   std::deque<Request*> queue_ CPDB_GUARDED_BY(mu_);
   TestHooks hooks_ CPDB_GUARDED_BY(mu_);
   bool leader_active_ CPDB_GUARDED_BY(mu_) = false;
-  Stats stats_ CPDB_GUARDED_BY(mu_);
   uint64_t cohort_seq_ CPDB_GUARDED_BY(mu_) = 0;
 
   // ----- Apply pool (disjoint-subtree parallel apply) ----------------------

@@ -166,33 +166,28 @@ class Engine {
   /// folded in explicitly). Thread-safe.
   relstore::CostAggregate& cost_totals() { return cost_totals_; }
 
-  /// Snapshot/version counters for STATS and the benches.
-  SnapshotManager::Stats snapshot_stats() const { return snapshots_.stats(); }
-
-  /// The engine's metrics registry — every commit-pipeline series
-  /// (WAL/fsync latency, queue stage timings, latch waits, snapshot and
-  /// cohort distributions) is registered here at construction, and the
-  /// server/pool/tools layers add theirs on top. One registry renders
-  /// both export surfaces: Prometheus (`METRICS`, `/metrics`) and the
-  /// flat STATS/bench JSON.
+  /// The engine's metrics registry — the ONE counter store. Every
+  /// commit-pipeline series (queue stage timings and commit/cohort
+  /// counters, latch waits, version-chain counters, WAL/fsync latency)
+  /// is registered here at construction, and the pool and server add
+  /// theirs on top. Layers increment the registry's objects where the
+  /// work happens; callbacks remain only for state another owner keeps
+  /// (tids, queue depth, durability stats). One registry renders both
+  /// export surfaces: Prometheus (`METRICS`, `/metrics`) and the flat
+  /// STATS/bench JSON. Read a counter in code with
+  /// `metrics().GetCounter(name, "")->Value()`.
   obs::Registry& metrics() { return metrics_; }
 
-  /// Flight recorder of recent commit timelines (SLOWLOG's backing ring).
-  obs::TraceBuffer& trace() { return trace_; }
-
-  /// Commits slower than `us` end-to-end are copied into the slow ring
-  /// and dumped to stderr; <= 0 disables (the default).
-  void SetSlowCommitThresholdUs(double us) { trace_.SetSlowThresholdUs(us); }
-
-  /// Store of assembled request trace trees — the read-side counterpart
-  /// of trace(): the network server records every sampled request's span
-  /// tree here, and the TRACES verb renders it back.
+  /// Store of assembled request trace trees: the network server records
+  /// every sampled (or slow) request's span tree here — a commit's tree
+  /// carries its commit.queue/apply/seal/wake stages — and the TRACES
+  /// verb renders it back.
   obs::SpanStore& spans() { return spans_; }
 
-  /// Read requests whose root span exceeds `us` are copied into the
+  /// Requests whose root span exceeds `us` — the read verbs, and the
+  /// verbs that commit (COMMIT; APPLY under N/H) — are copied into the
   /// trace store's slow ring and dumped to stderr as one JSON line
-  /// (--slow-query-ms, symmetric with the slow-commit log); <= 0
-  /// disables (the default).
+  /// (--slow-query-ms); <= 0 disables (the default).
   void SetSlowQueryThresholdUs(double us) { spans_.SetSlowThresholdUs(us); }
 
   /// Mints a trace id for server-initiated collection (slow-query
@@ -217,9 +212,9 @@ class Engine {
   }
 
   /// Creates every engine-level metric and plugs the sinks into the
-  /// latch, the commit queue, and the WAL (when durable) — all before
-  /// any session thread exists, so the sink fields never race. Out of
-  /// line (engine.cc): it is a page of registrations.
+  /// latch, the commit queue, the version chain, and the WAL (when
+  /// durable) — all before any session thread exists, so the sink fields
+  /// never race. Out of line (engine.cc): it is a page of registrations.
   void WireMetrics();
 
   provenance::ProvBackend* backend_;
@@ -227,7 +222,6 @@ class Engine {
   /// Declared (so destroyed) outside the machinery that records into
   /// them: the queue's worker threads must die before their sinks.
   obs::Registry metrics_;
-  obs::TraceBuffer trace_;
   obs::SpanStore spans_;
   std::atomic<uint64_t> trace_id_seq_{1};
   int64_t base_tid_;  ///< initialized before next_tid_ (declaration order)

@@ -11,8 +11,12 @@ Session::~Session() {
 Status Session::Apply(const update::Update& u) {
   if (per_op_) {
     // One op = one transaction (N/H): apply under the exclusive grant and
-    // ride the cohort's single fsync.
-    return CommitTraced([&] { return editor_->ApplyUpdate(u); }, {});
+    // ride the cohort's single fsync. Per-op commits declare no writeset
+    // (they always apply in order); a traced one still shows it.
+    std::vector<tree::Path> shown;
+    if (traced()) shown = editor_->WriteClaims({u});
+    return CommitTraced([&] { return editor_->ApplyUpdate(u); }, {},
+                        std::move(shown));
   }
   return editor_->ApplyUpdate(u);
 }
@@ -21,8 +25,10 @@ Status Session::ApplyScript(const update::Script& script, size_t* applied) {
   if (per_op_) {
     // The whole staged batch (one tid per op, one WriteRecords, one
     // native ApplyBatch) is one commit unit.
+    std::vector<tree::Path> shown;
+    if (traced()) shown = editor_->WriteClaims(script);
     return CommitTraced([&] { return editor_->ApplyScript(script, applied); },
-                        {});
+                        {}, std::move(shown));
   }
   return editor_->ApplyScript(script, applied);
 }
@@ -36,59 +42,54 @@ Status Session::Commit() {
 }
 
 Status Session::CommitTraced(std::function<Status()> apply,
-                             std::vector<tree::Path> claims) {
-  // Render the claim set for the trace before the queue consumes it —
-  // SLOWLOG shows a human the writeset, so strings beat live Paths.
-  std::vector<std::string> claim_strs;
-  claim_strs.reserve(claims.size());
-  for (const tree::Path& p : claims) claim_strs.push_back(p.ToString());
-
+                             std::vector<tree::Path> claims,
+                             std::vector<tree::Path> shown) {
+  if (!traced()) {
+    // Untraced: no strings rendered, no locks taken for tracing.
+    Status st = engine_->Commit(std::move(apply), std::move(claims));
+    if (st.ok()) AdvanceReadWatermark();
+    return st;
+  }
+  // Render the claim set before the queue consumes it: the trace is for
+  // a human reading TRACES, so strings beat live Paths.
+  std::string claim_text;
+  for (const tree::Path& p : claims.empty() ? shown : claims) {
+    if (!claim_text.empty()) claim_text.push_back(',');
+    claim_text += p.ToString();
+  }
   CommitQueue::Timeline tl;
   Status st = engine_->Commit(std::move(apply), std::move(claims), &tl);
   if (!st.ok()) return st;
   AdvanceReadWatermark();
 
-  obs::CommitSpan span;
-  span.tid = LastCommittedTid();
-  span.cohort = tl.cohort;
-  span.cohort_size = tl.cohort_size;
-  span.parallel = tl.parallel;
-  span.leader = tl.leader;
-  span.queue_us = tl.queue_us;
-  span.apply_us = tl.apply_us;
-  span.seal_us = tl.seal_us;
-  span.wake_us = tl.wake_us;
-  span.total_us = tl.total_us;
-  span.claims = std::move(claim_strs);
-
-  if (trace_sink_ != nullptr && trace_sink_->active()) {
-    // Link the commit into the request's trace: one child span per queue
-    // stage, start times synthesized backwards from the stage durations
-    // (the Timeline records durations, not wall-clock stamps). Anchor on
-    // the parent span's start when it is in this collector, else on now
-    // minus the total.
-    double base;
-    if (const obs::Span* parent = trace_sink_->Find(trace_parent_)) {
-      base = parent->start_us;
-    } else {
-      base = obs::NowMicros() - tl.total_us;
-    }
-    const int64_t tid = span.tid;
-    double at = base;
-    const struct {
-      const char* kind;
-      double dur;
-    } stages[] = {{"commit.queue", tl.queue_us},
-                  {"commit.apply", tl.apply_us},
-                  {"commit.seal", tl.seal_us},
-                  {"commit.wake", tl.wake_us}};
-    for (const auto& stage : stages) {
-      trace_sink_->AppendTimed(stage.kind, trace_parent_, at, stage.dur, tid);
-      at += stage.dur;
-    }
+  // Link the commit into the request's trace: one child span per queue
+  // stage, start times synthesized from the stage durations (the
+  // Timeline records durations, not wall-clock stamps). Anchor on the
+  // parent span's start when it is in this collector, else on now minus
+  // the total. The apply stage carries the cohort the transaction rode.
+  double at = obs::NowMicros() - tl.total_us;
+  if (const obs::Span* parent = trace_sink_->Find(trace_parent_)) {
+    at = parent->start_us;
   }
-
-  engine_->trace().Record(std::move(span));
+  const int64_t tid = LastCommittedTid();
+  const std::string apply_detail =
+      "cohort=" + std::to_string(tl.cohort) +
+      " cohort_size=" + std::to_string(tl.cohort_size) +
+      " leader=" + (tl.leader ? "1" : "0") +
+      " parallel=" + (tl.parallel ? "1" : "0") + " claims=" + claim_text;
+  const struct {
+    const char* kind;
+    double dur;
+    const std::string* detail;
+  } stages[] = {{"commit.queue", tl.queue_us, nullptr},
+                {"commit.apply", tl.apply_us, &apply_detail},
+                {"commit.seal", tl.seal_us, nullptr},
+                {"commit.wake", tl.wake_us, nullptr}};
+  for (const auto& stage : stages) {
+    trace_sink_->AppendTimed(stage.kind, trace_parent_, at, stage.dur, tid,
+                             stage.detail ? *stage.detail : std::string());
+    at += stage.dur;
+  }
   return st;
 }
 
@@ -113,6 +114,19 @@ void Session::AdvanceReadWatermark() {
 
 Status Session::Abort() { return editor_->Abort(); }
 
+SessionPool::SessionPool(Engine* engine, SessionOptions options)
+    : engine_(engine),
+      options_(std::move(options)),
+      built_(engine->metrics().GetCounter("cpdb_sessions_built_total",
+                                          "Sessions built from scratch", "",
+                                          "sessions_built")),
+      reused_(engine->metrics().GetCounter("cpdb_sessions_reused_total",
+                                           "Pooled sessions handed back out",
+                                           "", "sessions_reused")),
+      refreshed_(engine->metrics().GetCounter(
+          "cpdb_sessions_refreshed_total",
+          "Stale pooled sessions re-pinned O(1)", "", "sessions_refreshed")) {}
+
 Result<std::unique_ptr<Session>> SessionPool::Acquire() {
   for (;;) {
     std::unique_ptr<Session> s;
@@ -132,8 +146,7 @@ Result<std::unique_ptr<Session>> SessionPool::Acquire() {
       if (EnsureLatestPinned(&pin)) {
         if (pin.tid == s->snapshot_tid_) {
           s->pin_ = std::move(pin);
-          MutexLock l(mu_);
-          ++reused_;
+          reused_->Inc();
           return s;
         }
         engine_->snapshots().Unpin(pin);
@@ -145,9 +158,8 @@ Result<std::unique_ptr<Session>> SessionPool::Acquire() {
     // mu_: a lazy publish takes a read grant, and the pool must not stall
     // behind an in-flight cohort.
     if (Refresh(s.get())) {
-      MutexLock l(mu_);
-      ++reused_;
-      ++refreshed_;
+      reused_->Inc();
+      refreshed_->Inc();
       return s;
     }
     // The chain could not serve (target without cheap snapshots, or a
@@ -264,8 +276,7 @@ Result<std::unique_ptr<Session>> SessionPool::Build() {
   for (wrap::SourceDb* src : options_.sources) {
     CPDB_RETURN_IF_ERROR(s->editor_->MountSource(src));
   }
-  MutexLock l(mu_);
-  ++built_;
+  built_->Inc();
   return s;
 }
 
@@ -287,21 +298,6 @@ void SessionPool::Release(std::unique_ptr<Session> session) {
   session->pin_ = SnapshotManager::Pin{};
   MutexLock l(mu_);
   free_.push_back(std::move(session));
-}
-
-size_t SessionPool::built() const {
-  MutexLock l(mu_);
-  return built_;
-}
-
-size_t SessionPool::reused() const {
-  MutexLock l(mu_);
-  return reused_;
-}
-
-size_t SessionPool::refreshed() const {
-  MutexLock l(mu_);
-  return refreshed_;
 }
 
 }  // namespace cpdb::service

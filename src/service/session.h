@@ -105,11 +105,13 @@ class Session {
   Engine* engine() { return engine_; }
 
   /// Attaches a per-request span collector for the duration of one traced
-  /// commit: CommitTraced appends the transaction's queue/apply/seal/wake
-  /// stages as child spans under `parent_span`, so a committed write's
-  /// trace shows its path through the group-commit queue. Pass nullptr to
-  /// detach. Single-threaded, like the CostModel: set by the one thread
-  /// driving the session, before the commit call, cleared after.
+  /// call that may commit (Commit; Apply/ApplyScript under N/H):
+  /// CommitTraced appends the transaction's queue/apply/seal/wake stages
+  /// as child spans under `parent_span`, tagged with its tid, so a
+  /// committed write's trace shows its path through the group-commit
+  /// queue. Pass nullptr to detach. Single-threaded, like the CostModel:
+  /// set by the one thread driving the session, before the call, cleared
+  /// after.
   void set_trace(obs::SpanCollector* sink, uint64_t parent_span) {
     trace_sink_ = sink;
     trace_parent_ = parent_span;
@@ -124,12 +126,20 @@ class Session {
   void AdvanceReadWatermark();
 
   /// The shared tail of every commit unit: ships `apply` through the
-  /// engine's group-commit queue, advances the read watermark, and
-  /// records the transaction's stage timeline (tid, cohort, claims) into
-  /// the engine's trace buffer — where SLOWLOG and the slow-commit log
-  /// read it back.
+  /// engine's group-commit queue and advances the read watermark. With a
+  /// collector attached (set_trace) it also appends the transaction's
+  /// stage spans; the commit.apply span's detail names the cohort (id,
+  /// size, leader/parallel flags) and the claims. Without one it renders
+  /// nothing and takes no lock for tracing.
+  /// `shown` stands in for `claims` in the trace when the commit unit
+  /// declares none (per-op commits).
   Status CommitTraced(std::function<Status()> apply,
-                      std::vector<tree::Path> claims);
+                      std::vector<tree::Path> claims,
+                      std::vector<tree::Path> shown = {});
+
+  bool traced() const {
+    return trace_sink_ != nullptr && trace_sink_->active();
+  }
 
   bool per_op_ = false;
   Engine* engine_ = nullptr;
@@ -157,14 +167,17 @@ class Session {
 /// the newest version too; only when the version chain cannot serve —
 /// bootstrap, or a target without cheap snapshots — does it materialize
 /// the target with a full scan, and that scan is counted
-/// (SnapshotManager::Stats::snapshot_rebuilds). A warm pool under write
+/// (cpdb_snapshot_rebuilds_total). A warm pool under write
 /// traffic therefore copies nothing and scans nothing. Release() folds
 /// the session's CostModel into the engine's totals and pools the session
 /// for reuse. Thread-safe; building is serialized on the pool's mutex.
 class SessionPool {
  public:
-  SessionPool(Engine* engine, SessionOptions options)
-      : engine_(engine), options_(std::move(options)) {}
+  /// Registers the pool's counters in the engine registry:
+  /// cpdb_sessions_built_total, cpdb_sessions_reused_total, and
+  /// cpdb_sessions_refreshed_total (stale sessions re-pinned O(1),
+  /// counted inside reused). Pools sharing one engine share them.
+  SessionPool(Engine* engine, SessionOptions options);
 
   /// A session over the current committed state.
   Result<std::unique_ptr<Session>> Acquire() CPDB_EXCLUDES(mu_, build_mu_);
@@ -173,11 +186,6 @@ class SessionPool {
   /// transaction (Commit or Abort first); a pending one is aborted here,
   /// matching a curator closing their editor mid-edit.
   void Release(std::unique_ptr<Session> session) CPDB_EXCLUDES(mu_);
-
-  size_t built() const CPDB_EXCLUDES(mu_);
-  size_t reused() const CPDB_EXCLUDES(mu_);
-  /// Stale pooled sessions refreshed O(1) (counted inside reused()).
-  size_t refreshed() const CPDB_EXCLUDES(mu_);
 
  private:
   Result<std::unique_ptr<Session>> Build() CPDB_EXCLUDES(mu_, build_mu_);
@@ -201,13 +209,13 @@ class SessionPool {
 
   Engine* engine_;
   SessionOptions options_;
-  mutable Mutex mu_;  ///< freelist + counters
+  obs::Counter* built_;
+  obs::Counter* reused_;
+  obs::Counter* refreshed_;
+  Mutex mu_;  ///< freelist
   /// Serializes Build (see session.cc); always taken before mu_.
   Mutex build_mu_ CPDB_ACQUIRED_BEFORE(mu_);
   std::vector<std::unique_ptr<Session>> free_ CPDB_GUARDED_BY(mu_);
-  size_t built_ CPDB_GUARDED_BY(mu_) = 0;
-  size_t reused_ CPDB_GUARDED_BY(mu_) = 0;
-  size_t refreshed_ CPDB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace cpdb::service

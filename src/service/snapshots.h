@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 
+#include "obs/metrics.h"
 #include "tree/tree.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -26,7 +27,8 @@ namespace cpdb::service {
 /// versions share structure, dropping a version frees exactly the nodes
 /// that were copy-on-write-superseded since — the per-version delta.
 ///
-/// Counters feed Engine stats, the server STATS verb, and the benches:
+/// Its counters live in the engine registry (set_metrics), where STATS,
+/// METRICS and the benches read them:
 ///   versions_live     versions currently in the chain
 ///   versions_gced     versions dropped so far
 ///   snapshot_rebuilds full materializations (TargetDb::TreeFromDb scans)
@@ -42,15 +44,17 @@ class SnapshotManager {
     std::shared_ptr<const tree::Tree> root;
   };
 
-  struct Stats {
-    uint64_t versions_published = 0;
-    uint64_t versions_gced = 0;
-    uint64_t snapshot_rebuilds = 0;
-    uint64_t snapshot_rebuild_rows = 0;
-    uint64_t snapshot_refreshes = 0;  ///< O(1) session re-pins
-    size_t versions_live = 0;
-    int64_t latest_tid = -1;
+  /// Registry sinks; any pointer may be null. Set once, before sessions
+  /// exist (Engine's constructor).
+  struct Metrics {
+    obs::Counter* published = nullptr;
+    obs::Counter* gced = nullptr;
+    obs::Counter* rebuilds = nullptr;
+    obs::Counter* rebuild_rows = nullptr;
+    obs::Counter* refreshes = nullptr;  ///< O(1) session re-pins
+    obs::Gauge* live = nullptr;         ///< versions in the chain
   };
+  void set_metrics(const Metrics& m) { metrics_ = m; }
 
   /// Publishes the committed state at `watermark_tid`. Called by the
   /// commit queue's leader with the exclusive latch held (state is
@@ -64,7 +68,7 @@ class SnapshotManager {
     v.seq = ++last_seq_;
     v.root = std::make_shared<const tree::Tree>(std::move(root));
     chain_.push_back(std::move(v));
-    ++published_;
+    if (metrics_.published) metrics_.published->Inc();
     latest_tid_.store(watermark_tid, std::memory_order_release);
     CollectLocked();
   }
@@ -100,29 +104,14 @@ class SnapshotManager {
 
   /// Accounting for the slow path: a full TreeFromDb materialization of
   /// `rows` nodes (chain bootstrap, or a target without cheap snapshots).
-  void NoteRebuild(size_t rows) CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    ++rebuilds_;
-    rebuild_rows_ += rows;
+  void NoteRebuild(size_t rows) {
+    if (metrics_.rebuilds) metrics_.rebuilds->Inc();
+    if (metrics_.rebuild_rows) metrics_.rebuild_rows->Inc(rows);
   }
 
   /// Accounting for the fast path: an O(1) re-pin of a pooled session.
-  void NoteRefresh() CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    ++refreshes_;
-  }
-
-  Stats stats() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    Stats s;
-    s.versions_published = published_;
-    s.versions_gced = gced_;
-    s.snapshot_rebuilds = rebuilds_;
-    s.snapshot_rebuild_rows = rebuild_rows_;
-    s.snapshot_refreshes = refreshes_;
-    s.versions_live = chain_.size();
-    s.latest_tid = latest_tid_.load(std::memory_order_relaxed);
-    return s;
+  void NoteRefresh() {
+    if (metrics_.refreshes) metrics_.refreshes->Inc();
   }
 
  private:
@@ -139,18 +128,17 @@ class SnapshotManager {
   void CollectLocked() CPDB_REQUIRES(mu_) {
     while (chain_.size() > 1 && chain_.front().pins == 0) {
       chain_.pop_front();
-      ++gced_;
+      if (metrics_.gced) metrics_.gced->Inc();
+    }
+    if (metrics_.live) {
+      metrics_.live->Set(static_cast<int64_t>(chain_.size()));
     }
   }
 
-  mutable Mutex mu_;
+  Metrics metrics_;  ///< set once before concurrent use
+  Mutex mu_;
   std::deque<Version> chain_ CPDB_GUARDED_BY(mu_);
   uint64_t last_seq_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t published_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t gced_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t rebuilds_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t rebuild_rows_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t refreshes_ CPDB_GUARDED_BY(mu_) = 0;
   std::atomic<int64_t> latest_tid_{-1};
 };
 

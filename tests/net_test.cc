@@ -181,6 +181,7 @@ TEST(ProtocolTest, DecodersAreStrict) {
   EXPECT_FALSE(net::DecodeRequest(wire.substr(0, wire.size() - 1)).ok());
   EXPECT_FALSE(net::DecodeRequest("").ok());
   EXPECT_FALSE(net::DecodeRequest("\x7f").ok());  // unknown type tag
+  EXPECT_FALSE(net::DecodeRequest("\x0c").ok());  // retired tag 12
 
   std::string resp;
   net::EncodeResponse(Response::Ok("abc"), &resp);
@@ -320,6 +321,11 @@ struct NetRig {
 
   int port() const { return server->port(); }
 
+  /// A server counter, read from the engine registry it counts into.
+  uint64_t Count(const char* name) const {
+    return engine->metrics().GetCounter(name, "")->Value();
+  }
+
   std::unique_ptr<relstore::Database> db;
   std::unique_ptr<provenance::ProvBackend> backend;
   std::unique_ptr<wrap::RelationalTargetDb> target;
@@ -454,7 +460,7 @@ void ExpectErrorThenClose(NetRig* rig, const std::string& bytes) {
 TEST(NetRobustnessTest, GarbageBytesGetTypedErrorAndClose) {
   NetRig rig;
   ExpectErrorThenClose(&rig, std::string(64, '\xff'));
-  EXPECT_GE(rig.server->stats().bad_frames, 1u);
+  EXPECT_GE(rig.Count("cpdb_bad_frames_total"), 1u);
 }
 
 TEST(NetRobustnessTest, OversizedFrameGetsTypedErrorAndClose) {
@@ -478,7 +484,22 @@ TEST(NetRobustnessTest, UndecodableRequestGetsErrorAndClose) {
   // Perfectly framed, meaningless payload: decoder (not framing) rejects.
   NetRig rig;
   ExpectErrorThenClose(&rig, Framed("\x7f not a request"));
-  EXPECT_GE(rig.server->stats().bad_requests, 1u);
+  EXPECT_GE(rig.Count("cpdb_bad_requests_total"), 1u);
+}
+
+TEST(NetRobustnessTest, RetiredVerbTagGetsTypedErrorAndClose) {
+  // Tag 12 named the retired commit slow log. It stays reserved: an old
+  // client sending it gets one typed ERROR (counted as a bad request),
+  // never a different verb. The per-verb latency series skip the gap.
+  NetRig rig;
+  ExpectErrorThenClose(&rig, Framed(std::string(1, '\x0c')));
+  EXPECT_EQ(rig.Count("cpdb_bad_requests_total"), 1u);
+  Client probe;
+  ASSERT_TRUE(probe.Connect("127.0.0.1", rig.port()).ok());
+  auto text = probe.Metrics();
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("verb=\"TRACES\""), std::string::npos);
+  EXPECT_EQ(text->find("verb=\"?\""), std::string::npos) << *text;
 }
 
 TEST(NetRobustnessTest, ViolationMidPipelineNeverPartiallyApplies) {
@@ -612,7 +633,7 @@ TEST(NetServerTest, OverloadShedsWholeTransactionsWithRetry) {
     }
   }
   rig.engine->commit_queue().set_test_hooks({});
-  EXPECT_GE(rig.server->stats().retries, 3u);
+  EXPECT_GE(rig.Count("cpdb_retries_total"), 3u);
 
   // The shed transaction left no trace; the next one on C commits fine.
   ASSERT_TRUE(c.Apply(Update::Insert(table, "c2")).ok());
@@ -702,6 +723,18 @@ TEST(NetServerTest, DrainRecoversBitIdenticalStateThroughTheSocket) {
 
 // ----- Observability over the wire -------------------------------------------
 
+/// Extracts the integer value of `field` (e.g. "\"rows\":") from the
+/// first span object of `kind` inside a TRACES/EXPLAIN JSON dump.
+/// Returns -1 when the kind or field is missing.
+int64_t SpanField(const std::string& json, const std::string& kind,
+                  const std::string& field) {
+  size_t at = json.find("\"kind\":\"" + kind + "\"");
+  if (at == std::string::npos) return -1;
+  at = json.find(field, at);
+  if (at == std::string::npos) return -1;
+  return std::strtoll(json.c_str() + at + field.size(), nullptr, 10);
+}
+
 TEST(NetObservabilityTest, MetricsVerbServesPrometheusExposition) {
   NetRig rig;
   Client client;
@@ -768,36 +801,59 @@ TEST(NetObservabilityTest, DurableServerExposesWalSeries) {
   EXPECT_NE(stats->find("\"wal_fsync_us_count\":"), std::string::npos);
 }
 
-TEST(NetObservabilityTest, SlowCommitLandsInSlowLog) {
-  NetRig rig;
-  rig.engine->SetSlowCommitThresholdUs(1000);  // 1ms
-  service::CommitQueue::TestHooks hooks;
-  hooks.before_seal = [](size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  };
-  rig.engine->commit_queue().set_test_hooks(hooks);
+TEST(NetObservabilityTest, SlowCommitLandsInTracesSlowRing) {
+  // Under HT the COMMIT verb commits; under N every APPLY commits on its
+  // own. Either way a commit past --slow-query-ms lands in the TRACES
+  // "slow" ring as a request tree with its commit.* stages and tid.
+  for (provenance::Strategy strategy :
+       {provenance::Strategy::kHierarchicalTransactional,
+        provenance::Strategy::kNaive}) {
+    SCOPED_TRACE(provenance::StrategyShortName(strategy));
+    service::SessionOptions sopts;
+    sopts.strategy = strategy;
+    NetRig rig("", {}, sopts);
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+    // Lease the connection's session before arming the watch, so only
+    // the stalled commit can cross the threshold.
+    ASSERT_TRUE(client.Get(Path::MustParse("T/data")).ok());
+    rig.engine->SetSlowQueryThresholdUs(20000);  // 20ms
+    service::CommitQueue::TestHooks hooks;
+    hooks.before_seal = [](size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    };
+    rig.engine->commit_queue().set_test_hooks(hooks);
+    ASSERT_TRUE(
+        client.Apply(Update::Insert(Path::MustParse("T/data"), "slow")).ok());
+    ASSERT_TRUE(client.Commit().ok());
+    rig.engine->commit_queue().set_test_hooks({});
 
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
-  ASSERT_TRUE(
-      client.Apply(Update::Insert(Path::MustParse("T/data"), "slow")).ok());
-  ASSERT_TRUE(client.Commit().ok());
-
-  auto slowlog = client.SlowLog();
-  ASSERT_TRUE(slowlog.ok()) << slowlog.status().ToString();
-  EXPECT_NE(slowlog->find("\"slow_recorded\":1"), std::string::npos)
-      << *slowlog;
-  EXPECT_NE(slowlog->find("\"tid\":1"), std::string::npos);
-  EXPECT_NE(slowlog->find("\"seal_us\":"), std::string::npos);
-  // Claims are target-relative (the conflict-check granularity): the
-  // write under T/data claims the "data" subtree.
-  EXPECT_NE(slowlog->find("\"claims\":[\"data\"]"), std::string::npos)
-      << *slowlog;
-  // The slow-commit counter rides the metrics surface too.
-  auto metrics = client.Metrics();
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics->find("cpdb_slow_commits_total 1\n"), std::string::npos)
-      << *metrics;
+    auto traces = client.Traces();
+    ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+    EXPECT_NE(traces->find("\"slow_recorded\":1"), std::string::npos)
+        << *traces;
+    const size_t slow_at = traces->find("\"slow\":[{");
+    ASSERT_NE(slow_at, std::string::npos) << *traces;
+    const std::string slow = traces->substr(slow_at);
+    const char* root = strategy == provenance::Strategy::kNaive
+                           ? "\"kind\":\"server.APPLY\""
+                           : "\"kind\":\"server.COMMIT\"";
+    EXPECT_NE(slow.find(root), std::string::npos) << slow;
+    EXPECT_EQ(SpanField(slow, "commit.seal", "\"tid\":"), 1) << slow;
+    // The apply stage names the cohort and the target-relative claims:
+    // the write under T/data claims the "data" subtree.
+    const size_t apply_at = slow.find("\"kind\":\"commit.apply\"");
+    ASSERT_NE(apply_at, std::string::npos) << slow;
+    const size_t detail_at = slow.find("\"detail\":\"cohort=1 ", apply_at);
+    ASSERT_NE(detail_at, std::string::npos) << slow;
+    EXPECT_NE(slow.find("claims=data\"", detail_at), std::string::npos)
+        << slow;
+    // The slow capture rides the metrics surface too.
+    auto metrics = client.Metrics();
+    ASSERT_TRUE(metrics.ok());
+    EXPECT_NE(metrics->find("cpdb_slow_queries_total 1\n"), std::string::npos)
+        << *metrics;
+  }
 }
 
 TEST(NetObservabilityTest, HttpMetricsEndpointAnswersScrapers) {
@@ -844,18 +900,6 @@ TEST(NetObservabilityTest, HttpMetricsEndpointAnswersScrapers) {
 }
 
 // ----- End-to-end request tracing --------------------------------------------
-
-/// Extracts the integer value of `field` (e.g. "\"rows\":") from the
-/// first span object of `kind` inside a TRACES/EXPLAIN JSON dump.
-/// Returns -1 when the kind or field is missing.
-int64_t SpanField(const std::string& json, const std::string& kind,
-                  const std::string& field) {
-  size_t at = json.find("\"kind\":\"" + kind + "\"");
-  if (at == std::string::npos) return -1;
-  at = json.find(field, at);
-  if (at == std::string::npos) return -1;
-  return std::strtoll(json.c_str() + at + field.size(), nullptr, 10);
-}
 
 TEST(NetTracingTest, SampledGetModProducesFullTraceTree) {
   NetRig rig;
@@ -1025,7 +1069,8 @@ TEST(NetTracingTest, SampledCommitLinksQueueStageSpans) {
               std::string::npos)
         << kind << " missing in " << *traces;
   }
-  // Stage spans carry the committed tid for SLOWLOG cross-reference.
+  // Stage spans carry the committed tid, the handle that links a trace
+  // to GETMOD answers and provenance rows.
   EXPECT_EQ(SpanField(*traces, "commit.queue", "\"tid\":"), 1);
 }
 

@@ -1,10 +1,10 @@
 // Concurrency stress for the metrics primitives (runs under the `tsan`
 // preset via the `concurrency` label): many threads hammer one
-// histogram/counter/gauge and the trace ring while a scraper thread
-// renders the registry in a loop. The assertions are conservation laws —
-// every recorded sample must be visible in the final snapshot — and the
-// real check is ThreadSanitizer finding no race in the relaxed-atomic
-// record paths or the render path.
+// histogram/counter/gauge and the trace store's rings while a scraper
+// thread renders the registry (or the store) in a loop. The assertions
+// are conservation laws — every recorded sample must be visible in the
+// final snapshot — and the real check is ThreadSanitizer finding no race
+// in the relaxed-atomic record paths or the render path.
 
 #include <atomic>
 #include <string>
@@ -82,33 +82,36 @@ TEST(ObsStressTest, ConcurrentRegistrationIsIdempotent) {
 }
 
 TEST(ObsStressTest, TraceRingUnderConcurrentRecordAndRead) {
-  TraceBuffer buf(64, 16);
-  buf.SetSlowThresholdUs(1e9);  // nothing qualifies: no stderr noise
+  SpanStore store(/*capacity=*/64, /*slow_capacity=*/16);
+  store.SetSlowThresholdUs(1e9);  // nothing qualifies: no stderr noise
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      std::vector<CommitSpan> recent = buf.Recent(32);
-      for (const CommitSpan& s : recent) EXPECT_GE(s.tid, 0);
-      (void)buf.SlowLogJson(8);
+      // Nothing crosses the threshold, so the slow ring renders empty.
+      const std::string json = store.TracesJson(8);
+      EXPECT_NE(json.find("\"slow\":[]}"), std::string::npos);
     }
   });
   std::vector<std::thread> writers;
   for (size_t t = 0; t < 4; ++t) {
     writers.emplace_back([&, t] {
       for (size_t i = 0; i < 5000; ++i) {
-        CommitSpan span;
-        span.tid = static_cast<int64_t>(t * 5000 + i);
-        span.total_us = 25.0;
-        span.claims = {"T/t" + std::to_string(t)};
-        buf.Record(std::move(span));
+        // A commit-shaped tree: root plus one stage span with its tid,
+        // under a root kind per writer so the rings fill concurrently.
+        SpanCollector col(TraceContext{t * 5000 + i + 1, 0, true});
+        const uint64_t root = col.Open("server.W" + std::to_string(t), 0);
+        col.AppendTimed("commit.seal", root, 0, 1,
+                        static_cast<int64_t>(t * 5000 + i), "T/t");
+        col.Close(root);
+        store.Record(col.Take(), /*sampled=*/true);
       }
     });
   }
   for (auto& th : writers) th.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(buf.recorded(), 4u * 5000u);
-  EXPECT_EQ(buf.slow_recorded(), 0u);
+  EXPECT_EQ(store.recorded(), 4u * 5000u);
+  EXPECT_EQ(store.slow_recorded(), 0u);
 }
 
 }  // namespace

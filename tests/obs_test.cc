@@ -1,7 +1,7 @@
 // The observability layer (src/obs/): histogram bucketing and snapshot
 // algebra, registry rendering on both export surfaces (Prometheus text
 // exposition and the flat STATS JSON), the windowed Reporter, and the
-// commit-trace ring with its slow-commit capture.
+// request span collector and trace store with its slow capture.
 //
 // The contract under test: the SAME registry objects back every export
 // path, Prometheus output parses (HELP/TYPE blocks, cumulative buckets,
@@ -224,55 +224,6 @@ TEST(ReporterTest, FoldsWindowsAndFinalPartialWindow) {
   EXPECT_EQ(total, 5u);
   // Stop() is idempotent and Start/Stop cycles do not crash.
   rep.Stop();
-}
-
-// ----- Trace ring ------------------------------------------------------------
-
-CommitSpan MakeSpan(int64_t tid, double total_us) {
-  CommitSpan s;
-  s.tid = tid;
-  s.cohort = 1;
-  s.cohort_size = 2;
-  s.queue_us = 1;
-  s.apply_us = 2;
-  s.seal_us = 3;
-  s.wake_us = 4;
-  s.total_us = total_us;
-  s.claims = {"T/data/k" + std::to_string(tid)};
-  return s;
-}
-
-TEST(TraceBufferTest, RingKeepsMostRecentSpans) {
-  TraceBuffer buf(4, 4);
-  for (int64_t i = 1; i <= 10; ++i) buf.Record(MakeSpan(i, 100));
-  EXPECT_EQ(buf.recorded(), 10u);
-  std::vector<CommitSpan> recent = buf.Recent();
-  ASSERT_EQ(recent.size(), 4u);
-  EXPECT_EQ(recent[0].tid, 10);  // most recent first
-  EXPECT_EQ(recent[3].tid, 7);
-  EXPECT_EQ(buf.slow_recorded(), 0u);  // threshold disabled by default
-}
-
-TEST(TraceBufferTest, SlowThresholdCapturesAndRenders) {
-  TraceBuffer buf(8, 8);
-  buf.SetSlowThresholdUs(1000);
-  buf.Record(MakeSpan(1, 10));     // fast: not captured
-  buf.Record(MakeSpan(2, 5000));   // slow: captured (also logs to stderr)
-  EXPECT_EQ(buf.slow_recorded(), 1u);
-  std::vector<CommitSpan> slow = buf.Slow();
-  ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].tid, 2);
-
-  std::string json = buf.SlowLogJson();
-  EXPECT_NE(json.find("\"slow_threshold_us\":1000"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"slow_recorded\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
-  EXPECT_NE(json.find("T/data/k2"), std::string::npos);
-  // Disabling stops capture without clearing history.
-  buf.SetSlowThresholdUs(0);
-  buf.Record(MakeSpan(3, 9000));
-  EXPECT_EQ(buf.slow_recorded(), 1u);
 }
 
 // ----- SpanCollector / SpanStore (request tracing) ---------------------------

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -58,6 +59,17 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A registry counter of `engine` — the one counter store, read the way
+/// the benches and the server read it.
+uint64_t Count(Engine& engine, const char* name) {
+  return engine.metrics().GetCounter(name, "")->Value();
+}
+
+/// A registry gauge of `engine`.
+int64_t Level(Engine& engine, const char* name) {
+  return engine.metrics().GetGauge(name, "")->Value();
 }
 
 /// Everything one engine run needs, over an in-memory store.
@@ -218,15 +230,12 @@ TEST(ServiceCommitQueueTest, CohortCombinesUnderOneExclusiveGrantAndFsync) {
   for (auto& th : committers) th.join();
   for (auto& s : sessions) pool.Release(std::move(s));
 
-  service::CommitQueue::Stats stats = engine.commit_queue().stats();
-  EXPECT_EQ(stats.commits, 3u);
-  EXPECT_EQ(stats.cohorts, 1u);
-  EXPECT_EQ(stats.max_cohort, 3u);
-  EXPECT_EQ(stats.combined, 2u);
+  EXPECT_EQ(Count(engine, "cpdb_commits_total"), 3u);
+  EXPECT_EQ(Count(engine, "cpdb_cohorts_total"), 1u);
+  EXPECT_EQ(Level(engine, "cpdb_max_cohort"), 3);
+  EXPECT_EQ(Count(engine, "cpdb_combined_total"), 2u);
   // The whole cohort sealed under ONE fsync barrier.
   EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
-  // One exclusive grant -> one epoch advance.
-  EXPECT_EQ(engine.latch().Epoch(), 1u);
   EXPECT_EQ(backend.RowCount(), 3u);
 }
 
@@ -285,7 +294,7 @@ TEST(ServiceCrashTest, GroupCommitCohortIsAtomicAcrossACrash) {
   }
   for (auto& th : committers) th.join();
   for (auto& s : sessions) pool.Release(std::move(s));
-  ASSERT_EQ(engine.commit_queue().stats().max_cohort, 3u);
+  ASSERT_EQ(Level(engine, "cpdb_max_cohort"), 3);
 
   // Crash BEFORE the leader's fsync: the whole cohort is absent.
   {
@@ -453,9 +462,8 @@ TEST(ServiceVersionGcTest, OldestPinHoldsBackGcUntilReleased) {
   // survives because s_old still pins it.
   auto s_new = rig.pool->Acquire();
   ASSERT_TRUE(s_new.ok());
-  service::SnapshotManager::Stats stats = rig.engine->snapshot_stats();
-  EXPECT_EQ(stats.versions_live, 2u);
-  EXPECT_EQ(stats.versions_gced, 0u);
+  EXPECT_EQ(Level(*rig.engine, "cpdb_versions_live"), 2);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_versions_gced_total"), 0u);
 
   // The pinned version is not just retained, it still ANSWERS as of its
   // watermark; the refreshed session sees the commit.
@@ -468,10 +476,9 @@ TEST(ServiceVersionGcTest, OldestPinHoldsBackGcUntilReleased) {
   // version (Release marches the pooled session's pin to the newest
   // version precisely so idle inventory never holds GC back).
   rig.pool->Release(std::move(*s_old));
-  stats = rig.engine->snapshot_stats();
-  EXPECT_EQ(stats.versions_live, 1u);
-  EXPECT_EQ(stats.versions_gced, 1u);
-  EXPECT_EQ(stats.latest_tid, rig.engine->CommittedTid());
+  EXPECT_EQ(Level(*rig.engine, "cpdb_versions_live"), 1);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_versions_gced_total"), 1u);
+  EXPECT_EQ(rig.engine->snapshots().LatestTid(), rig.engine->CommittedTid());
   rig.pool->Release(std::move(*s_new));
 }
 
@@ -506,7 +513,7 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
       ASSERT_TRUE((*s)->Commit().ok());
       pool.Release(std::move(*s));
     }
-    EXPECT_GT(engine.snapshot_stats().versions_published, 1u);
+    EXPECT_GT(Count(engine, "cpdb_versions_published_total"), 1u);
     final_tid = engine.CommittedTid();
     final_target = target.content().Clone();
   }  // crash: every in-memory structure (chain included) is gone
@@ -528,11 +535,10 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
   ASSERT_TRUE(s.ok());
   EXPECT_EQ((*s)->snapshot_tid(), final_tid);
   // Exactly one version, at the recovered watermark, materialized O(1).
-  service::SnapshotManager::Stats stats = engine.snapshot_stats();
-  EXPECT_EQ(stats.versions_published, 1u);
-  EXPECT_EQ(stats.versions_live, 1u);
-  EXPECT_EQ(stats.latest_tid, final_tid);
-  EXPECT_EQ(stats.snapshot_rebuilds, 0u);
+  EXPECT_EQ(Count(engine, "cpdb_versions_published_total"), 1u);
+  EXPECT_EQ(Level(engine, "cpdb_versions_live"), 1);
+  EXPECT_EQ(engine.snapshots().LatestTid(), final_tid);
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 0u);
   // The recovered rows are all visible through the session's view.
   {
     auto guard = (*s)->ReadLock();
@@ -579,7 +585,11 @@ TEST(ServiceParallelApplyTest, DisjointCohortAppliesOnThePoolUnderOneFsync) {
     pool.Release(std::move(*s));
   }
 
-  service::CommitQueue::Stats before = engine.commit_queue().stats();
+  const char* const kQueueCounters[] = {
+      "cpdb_commits_total", "cpdb_cohorts_total",
+      "cpdb_parallel_cohorts_total", "cpdb_parallel_applies_total"};
+  std::map<std::string, uint64_t> before;
+  for (const char* name : kQueueCounters) before[name] = Count(engine, name);
   size_t fsyncs_before = db->cost().Fsyncs();
 
   // Stage three disjoint writers, then pin the engine in a read grant so
@@ -607,12 +617,14 @@ TEST(ServiceParallelApplyTest, DisjointCohortAppliesOnThePoolUnderOneFsync) {
   for (auto& th : committers) th.join();
   for (auto& s : sessions) pool.Release(std::move(s));
 
-  service::CommitQueue::Stats after = engine.commit_queue().stats();
-  EXPECT_EQ(after.commits - before.commits, 3u);
-  EXPECT_EQ(after.cohorts - before.cohorts, 1u);
+  auto delta = [&](const char* name) {
+    return Count(engine, name) - before[name];
+  };
+  EXPECT_EQ(delta("cpdb_commits_total"), 3u);
+  EXPECT_EQ(delta("cpdb_cohorts_total"), 1u);
   // The disjoint batch went to the apply pool...
-  EXPECT_EQ(after.parallel_cohorts - before.parallel_cohorts, 1u);
-  EXPECT_EQ(after.parallel_applies - before.parallel_applies, 3u);
+  EXPECT_EQ(delta("cpdb_parallel_cohorts_total"), 1u);
+  EXPECT_EQ(delta("cpdb_parallel_applies_total"), 3u);
   // ...and still sealed under exactly ONE fsync barrier (the commit
   // queue aborts the process if a parallel cohort ever syncs twice).
   EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
@@ -659,7 +671,11 @@ TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
       (*sa)->Apply(Update::Insert(Path::MustParse("T/p0/c"), "k")).ok());
   ASSERT_TRUE((*sb)->Apply(Update::Delete(Path::MustParse("T/p0"), "c")).ok());
 
-  service::CommitQueue::Stats before = engine.commit_queue().stats();
+  const char* const kQueueCounters[] = {
+      "cpdb_commits_total", "cpdb_cohorts_total",
+      "cpdb_parallel_cohorts_total", "cpdb_parallel_applies_total"};
+  std::map<std::string, uint64_t> before;
+  for (const char* name : kQueueCounters) before[name] = Count(engine, name);
   std::thread ta, tb;
   {
     auto guard = engine.Read();
@@ -673,11 +689,13 @@ TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
   pool.Release(std::move(*sa));
   pool.Release(std::move(*sb));
 
-  service::CommitQueue::Stats after = engine.commit_queue().stats();
-  EXPECT_EQ(after.commits - before.commits, 2u);
-  EXPECT_EQ(after.cohorts - before.cohorts, 1u);
-  EXPECT_EQ(after.parallel_cohorts - before.parallel_cohorts, 0u);
-  EXPECT_EQ(after.parallel_applies - before.parallel_applies, 0u);
+  auto delta = [&](const char* name) {
+    return Count(engine, name) - before[name];
+  };
+  EXPECT_EQ(delta("cpdb_commits_total"), 2u);
+  EXPECT_EQ(delta("cpdb_cohorts_total"), 1u);
+  EXPECT_EQ(delta("cpdb_parallel_cohorts_total"), 0u);
+  EXPECT_EQ(delta("cpdb_parallel_applies_total"), 0u);
   // In-order semantics: the insert landed inside c, then the delete took
   // the whole subtree out.
   const tree::Tree& final_content = target.content();
@@ -834,15 +852,15 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
   auto s = rig.pool->Acquire();
   ASSERT_TRUE(s.ok());
   rig.pool->Release(std::move(*s));
-  EXPECT_EQ(rig.pool->built(), 1u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_sessions_built_total"), 1u);
 
   // No commits in between: the pinned version is still the committed
   // state and the session is handed back out untouched.
   auto again = rig.pool->Acquire();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(rig.pool->reused(), 1u);
-  EXPECT_EQ(rig.pool->built(), 1u);
-  EXPECT_EQ(rig.pool->refreshed(), 0u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_sessions_reused_total"), 1u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_sessions_built_total"), 1u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_sessions_refreshed_total"), 0u);
 
   // A commit advances the watermark; the pooled session is stale, but the
   // pool refreshes it in place — re-pin the newest version, swap the
@@ -854,9 +872,9 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
   rig.pool->Release(std::move(*again));
   auto refreshed = rig.pool->Acquire();
   ASSERT_TRUE(refreshed.ok());
-  EXPECT_EQ(rig.pool->built(), 1u);
-  EXPECT_EQ(rig.pool->reused(), 2u);
-  EXPECT_EQ(rig.pool->refreshed(), 1u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_sessions_built_total"), 1u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_sessions_reused_total"), 2u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_sessions_refreshed_total"), 1u);
   EXPECT_EQ((*refreshed)->snapshot_tid(), committed);
   // The refreshed snapshot sees the committed edit.
   EXPECT_NE(
@@ -864,9 +882,9 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
       nullptr);
   // And the refresh was a version swap, not a materialization: a
   // cheap-snapshot target never pays a full scan, bootstrap included.
-  EXPECT_EQ(rig.engine->snapshot_stats().snapshot_rebuilds, 0u);
-  EXPECT_EQ(rig.engine->snapshot_stats().snapshot_rebuild_rows, 0u);
-  EXPECT_EQ(rig.engine->snapshot_stats().snapshot_refreshes, 1u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_snapshot_rebuilds_total"), 0u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
+  EXPECT_EQ(Count(*rig.engine, "cpdb_snapshot_refreshes_total"), 1u);
   rig.pool->Release(std::move(*refreshed));
 }
 
@@ -889,7 +907,9 @@ TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
     }
     for (auto& s : warm) rig.pool->Release(std::move(s));
   }
-  ASSERT_EQ(rig.pool->built(), static_cast<size_t>(kThreads));
+  Engine& engine = *rig.engine;
+  ASSERT_EQ(Count(engine, "cpdb_sessions_built_total"),
+            static_cast<uint64_t>(kThreads));
 
   std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
@@ -906,23 +926,23 @@ TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
   for (auto& th : workers) th.join();
 
   // Every acquire after the warm-up reused pooled inventory...
-  EXPECT_EQ(rig.pool->built(), static_cast<size_t>(kThreads));
-  EXPECT_EQ(rig.pool->reused(),
+  EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"),
+            static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(Count(engine, "cpdb_sessions_reused_total"),
             static_cast<size_t>(kThreads * kTxnsPerThread));
   // ...and no acquire, refresh, or commit scanned the target: the chain
   // served every snapshot. This is the number the whole subsystem exists
   // to hold at zero.
-  service::SnapshotManager::Stats stats = rig.engine->snapshot_stats();
-  EXPECT_EQ(stats.snapshot_rebuilds, 0u);
-  EXPECT_EQ(stats.snapshot_rebuild_rows, 0u);
-  EXPECT_GT(stats.snapshot_refreshes, 0u);
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 0u);
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
+  EXPECT_GT(Count(engine, "cpdb_snapshot_refreshes_total"), 0u);
   // Idle inventory marches its pins forward, so the chain stays pruned.
-  EXPECT_EQ(stats.versions_live, 1u)
-      << "published=" << stats.versions_published
-      << " gced=" << stats.versions_gced
-      << " refreshes=" << stats.snapshot_refreshes
-      << " reused=" << rig.pool->reused()
-      << " refreshed=" << rig.pool->refreshed();
+  EXPECT_EQ(Level(engine, "cpdb_versions_live"), 1)
+      << "published=" << Count(engine, "cpdb_versions_published_total")
+      << " gced=" << Count(engine, "cpdb_versions_gced_total")
+      << " refreshes=" << Count(engine, "cpdb_snapshot_refreshes_total")
+      << " reused=" << Count(engine, "cpdb_sessions_reused_total")
+      << " refreshed=" << Count(engine, "cpdb_sessions_refreshed_total");
 }
 
 TEST(ServiceCostTest, SessionChargesLandOnPrivateModelsAndAggregate) {

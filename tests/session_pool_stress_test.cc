@@ -1,11 +1,11 @@
 // TSan stress for SessionPool's reuse-vs-rebuild path: threads acquire,
-// commit (advancing the latch epoch so every pooled snapshot goes
+// commit (advancing the committed tid so every pooled snapshot goes
 // stale), read under a shared grant, and release — racing the pool's
-// freelist, the serialized Build path, and the engine's epoch stamp all
-// at once. Under the `tsan` preset (label: concurrency) this is the
-// data-race probe for the annotated pool internals; in a plain build it
-// still checks the pool's conservation law: every Acquire is counted as
-// exactly one reuse or one build.
+// freelist, the serialized Build path, and the version chain's
+// re-pinning all at once. Under the `tsan` preset (label: concurrency)
+// this is the data-race probe for the annotated pool internals; in a
+// plain build it still checks the pool's conservation law: every Acquire
+// is counted as exactly one reuse or one build.
 
 #include <atomic>
 #include <memory>
@@ -51,8 +51,9 @@ TEST(SessionPoolStressTest, ReuseVsRebuildUnderChurn) {
         }
         if ((t + r) % 3 == 0) {
           // Writer round: one committed insert. The commit advances the
-          // epoch, so every session parked in the pool is now stale and
-          // the next Acquire on any thread takes the rebuild path.
+          // committed tid, so every session parked in the pool is now
+          // stale and the next Acquire on any thread takes the refresh
+          // path.
           std::string name =
               "t" + std::to_string(t) + "_r" + std::to_string(r);
           if (!(*session)->Apply(Update::Insert(Path::MustParse("T"), name))
@@ -75,9 +76,13 @@ TEST(SessionPoolStressTest, ReuseVsRebuildUnderChurn) {
 
   EXPECT_EQ(failures.load(), 0u);
   // Conservation: every Acquire was exactly one reuse or one build.
-  EXPECT_EQ(pool.built() + pool.reused(),
-            static_cast<size_t>(kThreads) * kRounds);
-  EXPECT_GE(pool.built(), 1u);
+  obs::Registry& reg = engine.metrics();
+  const uint64_t built =
+      reg.GetCounter("cpdb_sessions_built_total", "")->Value();
+  const uint64_t reused =
+      reg.GetCounter("cpdb_sessions_reused_total", "")->Value();
+  EXPECT_EQ(built + reused, static_cast<uint64_t>(kThreads) * kRounds);
+  EXPECT_GE(built, 1u);
   // The committed inserts all landed in the shared state.
   auto final_session = pool.Acquire();
   ASSERT_TRUE(final_session.ok());

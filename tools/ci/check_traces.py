@@ -4,6 +4,7 @@
     cpdb_bench_client --mode=traces > traces.json
     python3 tools/ci/check_traces.py traces.json \
         [--min-traces=1] [--require-kind=server.GETMOD] \
+        [--require-slow-kind=server.COMMIT] \
         [--require-child=query.execute] [--trace-id=N]
 
 Checks, in order:
@@ -18,12 +19,16 @@ Checks, in order:
    start_us >= the root's start_us, and every child's dur_us <= the
    root's dur_us (children nest inside the request).
 4. --require-kind: at least one recorded trace's root has that kind.
-5. --require-child: every trace whose root kind matches --require-kind
+5. --require-slow-kind: at least one tree in the slow ring has a root of
+   that kind (e.g. a commit past --slow-query-ms is a server.COMMIT).
+6. --require-child: every trace whose root kind matches --require-kind,
+   and every slow tree whose root kind matches --require-slow-kind,
    contains a child span of that kind (e.g. a traced server.GETMOD
-   must show its query.execute stage).
-6. --trace-id: that exact trace id is present (the handle a sampled
+   must show its query.execute stage, a slow server.COMMIT its
+   commit.seal). With neither kind given it applies to every trace.
+7. --trace-id: that exact trace id is present (the handle a sampled
    client printed).
-7. --min-traces: at least that many assembled traces were recorded.
+8. --min-traces: at least that many assembled traces were recorded.
 
 Exit 0 on success; nonzero with a message on any violation. Used by the
 CI socket smoke after a sampled load.
@@ -94,6 +99,9 @@ def main():
     parser.add_argument("--min-traces", type=int, default=1)
     parser.add_argument("--require-kind", action="append", default=[],
                         help="root span kind that must appear (repeatable)")
+    parser.add_argument("--require-slow-kind", action="append", default=[],
+                        help="root kind that must appear in the slow ring "
+                             "(repeatable)")
     parser.add_argument("--require-child", action="append", default=[],
                         help="child kind every matching trace must contain")
     parser.add_argument("--trace-id", type=int, default=0,
@@ -118,8 +126,10 @@ def main():
     for i, tree in enumerate(doc["traces"]):
         root, _ = check_tree(tree, f"traces[{i}]")
         roots.append((tree, root))
+    slow_roots = []
     for i, tree in enumerate(doc["slow"]):
-        check_tree(tree, f"slow[{i}]")
+        root, _ = check_tree(tree, f"slow[{i}]")
+        slow_roots.append((tree, root))
 
     if len(doc["traces"]) < args.min_traces:
         fail(f"only {len(doc['traces'])} trace(s) recorded, "
@@ -127,9 +137,17 @@ def main():
     for kind in args.require_kind:
         if not any(root["kind"] == kind for _, root in roots):
             fail(f"no trace with root kind '{kind}'")
+    for kind in args.require_slow_kind:
+        if not any(root["kind"] == kind for _, root in slow_roots):
+            fail(f"no slow tree with root kind '{kind}'")
     for child_kind in args.require_child:
-        scope = [(t, r) for t, r in roots
-                 if not args.require_kind or r["kind"] in args.require_kind]
+        if args.require_kind or args.require_slow_kind:
+            scope = [(t, r) for t, r in roots
+                     if r["kind"] in args.require_kind]
+        else:
+            scope = list(roots)
+        scope += [(t, r) for t, r in slow_roots
+                  if r["kind"] in args.require_slow_kind]
         for tree, root in scope:
             kinds = {s["kind"] for s in walk(root, [])}
             if child_kind not in kinds:

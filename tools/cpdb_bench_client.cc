@@ -17,10 +17,11 @@
 //                  before SIGTERM and after restart, diff for equality
 //   --mode=ping    retries PING until the server answers or
 //                  --timeout-sec expires (CI readiness gate)
-//   --mode=stats / --mode=metrics / --mode=slowlog / --mode=traces
+//   --mode=stats / --mode=metrics / --mode=traces
 //                  one admin verb round-trip, body to stdout (flat JSON,
-//                  Prometheus text exposition, recent slow-commit spans,
-//                  assembled trace trees)
+//                  Prometheus text exposition, assembled trace trees —
+//                  sampled ones and the "slow" ring, where a commit past
+//                  the server's --slow-query-ms lands with its stages)
 //   --mode=explain run one query with EXPLAIN (--explain=getmod|
 //                  traceback|get --path=T/...) and print its span tree +
 //                  cost counters as JSON
@@ -529,9 +530,9 @@ int RunDigest(const Options& opt) {
 }
 
 /// One admin verb round-trip, body printed to stdout. Covers STATS
-/// (flat JSON), METRICS (Prometheus text exposition), SLOWLOG (recent
-/// slow-commit spans), and TRACES (assembled trace trees) so an operator
-/// with only this binary can read every telemetry surface.
+/// (flat JSON), METRICS (Prometheus text exposition), and TRACES
+/// (assembled trace trees, slow ones included) so an operator with only
+/// this binary can read every telemetry surface.
 int RunAdminVerb(const Options& opt) {
   net::Client client;
   Status st = client.Connect(opt.host, opt.port);
@@ -541,8 +542,7 @@ int RunAdminVerb(const Options& opt) {
   }
   Result<std::string> body = opt.mode == "stats"     ? client.Stats()
                              : opt.mode == "metrics" ? client.Metrics()
-                             : opt.mode == "traces"  ? client.Traces()
-                                                     : client.SlowLog();
+                                                     : client.Traces();
   if (!body.ok()) {
     std::fprintf(stderr, "%s: %s\n", opt.mode.c_str(),
                  body.status().ToString().c_str());
@@ -634,9 +634,14 @@ int main(int argc, char** argv) {
   if (opt.mode == "digest") return RunDigest(opt);
   if (opt.mode == "ping") return RunPing(opt);
   if (opt.mode == "explain") return RunExplain(opt);
-  if (opt.mode == "stats" || opt.mode == "metrics" || opt.mode == "slowlog" ||
-      opt.mode == "traces") {
+  if (opt.mode == "stats" || opt.mode == "metrics" || opt.mode == "traces") {
     return RunAdminVerb(opt);
+  }
+  if (opt.mode != "load") {
+    // An unknown (or retired) mode must not fall through to a load run
+    // against what may be a production server.
+    std::fprintf(stderr, "unknown --mode=%s\n", opt.mode.c_str());
+    return 2;
   }
   return RunLoad(opt);
 }

@@ -62,7 +62,7 @@ OBS-METRICS
     METRICS, /metrics, and the bench JSON, and a counter living outside
     it is invisible to all four. The allowlist names the std::atomic
     members that are NOT metrics — engine tid allocation and seal
-    probes, the latch's epoch, the snapshot chain's watermark, and the
+    probes, the snapshot chain's watermark, and the
     server's lifecycle flags — each of which is load-bearing
     synchronization state with its own reader, not telemetry.
 
@@ -228,7 +228,6 @@ OBS_METRICS_ALLOWED = {
     ("src/service/engine.h", "trace_id_seq_"),   # trace-id allocator
     ("src/service/engine.h", "committed_tid_"),  # MVCC watermark
     ("src/service/engine.h", "sync_calls_"),     # ONE-seal probe
-    ("src/service/latch.h", "epoch_"),           # exclusive-section count
     ("src/service/snapshots.h", "latest_tid_"),  # version-chain watermark
     ("src/net/server.h", "draining_"),           # lifecycle flag
     ("src/net/server.h", "started_"),            # lifecycle flag
