@@ -141,7 +141,6 @@ struct RunResult {
   size_t parallel_cohorts = 0, parallel_applies = 0;
   size_t versions_live = 0, versions_gced = 0;
   size_t snapshot_rebuilds = 0, snapshot_rebuild_rows = 0;
-  size_t snapshot_refreshes = 0;
   size_t sessions_built = 0, sessions_refreshed = 0;
   relstore::CostSnapshot cost;  ///< engine aggregate over all sessions
   Percentiles commit_us;        ///< client-observed commit latency
@@ -234,11 +233,15 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
   res.fsyncs = db->cost().Fsyncs() - fsyncs0;
   res.log_bytes = db->cost().LogBytes() - log0;
   obs::Registry& reg = engine.metrics();
+  // Read-only lookups: a series this engine does not export reads 0
+  // rather than registering an empty one.
   auto count = [&](const char* name) {
-    return static_cast<size_t>(reg.GetCounter(name, "")->Value());
+    const obs::Counter* c = reg.FindCounter(name);
+    return c == nullptr ? size_t{0} : static_cast<size_t>(c->Value());
   };
   auto gauge = [&](const char* name) {
-    return static_cast<size_t>(reg.GetGauge(name, "")->Value());
+    const obs::Gauge* g = reg.FindGauge(name);
+    return g == nullptr ? size_t{0} : static_cast<size_t>(g->Value());
   };
   res.cohorts = count("cpdb_cohorts_total");
   res.combined = count("cpdb_combined_total");
@@ -249,7 +252,6 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
   res.versions_gced = count("cpdb_versions_gced_total");
   res.snapshot_rebuilds = count("cpdb_snapshot_rebuilds_total");
   res.snapshot_rebuild_rows = count("cpdb_snapshot_rebuild_rows_total");
-  res.snapshot_refreshes = count("cpdb_snapshot_refreshes_total");
   res.sessions_built = count("cpdb_sessions_built_total");
   res.sessions_refreshed = count("cpdb_sessions_refreshed_total");
   res.cost = engine.cost_totals().Snap();
@@ -394,7 +396,6 @@ int main(int argc, char** argv) {
           .Set("versions_gced", r.versions_gced)
           .Set("snapshot_rebuilds", r.snapshot_rebuilds)
           .Set("snapshot_rebuild_rows", r.snapshot_rebuild_rows)
-          .Set("snapshot_refreshes", r.snapshot_refreshes)
           .Set("sessions_built", r.sessions_built)
           .Set("sessions_refreshed", r.sessions_refreshed);
       // Engine-side stage breakdown (obs registry histograms): where the

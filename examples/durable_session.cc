@@ -52,7 +52,11 @@ bool OpenSession(const std::string& dir, Session* s) {
         {{"id", relstore::ColumnType::kString, false},
          {"name", relstore::ColumnType::kString, true},
          {"loc", relstore::ColumnType::kString, true}});
-    if (!s->db->CreateTable("prot", schema).ok()) return false;
+    auto prot = s->db->CreateTable("prot", schema);
+    if (!prot.ok() ||
+        !wrap::RelationalTargetDb::CreateKeyIndex(*prot).ok()) {
+      return false;
+    }
   }
   s->backend = std::make_unique<provenance::ProvBackend>(s->db.get());
   s->target = std::make_unique<wrap::RelationalTargetDb>(

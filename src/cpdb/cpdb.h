@@ -68,6 +68,10 @@
 /// Durability (README "Durability"; storage/):
 ///
 ///   auto db = relstore::Database::Open("curated", dir).value();
+///   if (!db->GetTable("prot").ok()) {              // fresh store
+///     auto* prot = db->CreateTable("prot", schema).value();
+///     wrap::RelationalTargetDb::CreateKeyIndex(prot);  // unique pk, col 0
+///   }
 ///   provenance::ProvBackend backend(db.get());     // adopts recovered
 ///   wrap::RelationalTargetDb target("T", db.get(), {"prot"});
 ///   EditorOptions opts;
@@ -89,6 +93,15 @@
 /// per-commit barrier costs one null check. ProvBackend's constructor
 /// now ADOPTS existing Prov/TxnMeta tables (recovered databases) instead
 /// of failing; fresh databases are created as before.
+///
+/// Migration note (relational target access path): RelationalTargetDb
+/// locates every tuple through its table's key index — a unique B+-tree
+/// on column 0 named RelationalTargetDb::kKeyIndex — with one probe per
+/// op, never a heap scan. Create it with CreateKeyIndex right after
+/// CreateTable (the table must be empty); a table without it fails at
+/// first use with FailedPrecondition naming the table and the index, and
+/// CheckKeyIndexes() reports the same up front. Inserting a tuple id that
+/// exists now fails with AlreadyExists instead of storing a duplicate.
 ///
 /// Concurrency (README "Service layer"; src/service/): N curator
 /// sessions over ONE shared engine —
@@ -132,7 +145,8 @@
 /// only counter store. CommitQueue::stats(), Engine::snapshot_stats(),
 /// net::Server::stats() and SessionPool::built()/reused()/refreshed()
 /// are gone; read the same numbers as registry series, e.g.
-/// `engine.metrics().GetCounter("cpdb_commits_total", "")->Value()`.
+/// `engine.metrics().FindCounter("cpdb_commits_total")->Value()`
+/// (FindCounter/FindGauge never register; a mistyped name is nullptr).
 /// The SLOWLOG verb (wire tag 12, now reserved and rejected),
 /// Engine::trace(), cpdb_serve's commit-only slow threshold flag, and
 /// the cpdb_slow_commits_total series / STATS `slow_commits` field are

@@ -131,11 +131,26 @@ void AppendHistKeys(std::string* out, const std::string& key,
 }  // namespace
 
 Registry::Metric* Registry::Find(const std::string& name,
-                                 const std::string& labels) {
-  for (auto& m : metrics_) {
+                                 const std::string& labels) const {
+  for (const auto& m : metrics_) {
     if (m->name == name && m->labels == labels) return m.get();
   }
   return nullptr;
+}
+
+const Counter* Registry::FindCounter(const std::string& name,
+                                     const std::string& labels) const {
+  MutexLock l(mu_);
+  const Metric* m = Find(name, labels);
+  return m != nullptr && m->kind == Kind::kCounter ? m->counter.get()
+                                                   : nullptr;
+}
+
+const Gauge* Registry::FindGauge(const std::string& name,
+                                 const std::string& labels) const {
+  MutexLock l(mu_);
+  const Metric* m = Find(name, labels);
+  return m != nullptr && m->kind == Kind::kGauge ? m->gauge.get() : nullptr;
 }
 
 Counter* Registry::GetCounter(const std::string& name, const std::string& help,

@@ -156,6 +156,17 @@ class Registry {
                           const std::string& json_key = "")
       CPDB_EXCLUDES(mu_);
 
+  /// Read-only lookups for code that reads a series another owner
+  /// registered (tests, benches, the server's exit summary). They never
+  /// register: a mistyped name or a series of another kind yields nullptr
+  /// and leaves the exposition untouched.
+  const Counter* FindCounter(const std::string& name,
+                             const std::string& labels = "") const
+      CPDB_EXCLUDES(mu_);
+  const Gauge* FindGauge(const std::string& name,
+                         const std::string& labels = "") const
+      CPDB_EXCLUDES(mu_);
+
   /// A metric whose value is computed at scrape time — the bridge for
   /// state that already has an owner (queue stats, pool counters,
   /// durability stats). `monotonic` selects counter vs gauge semantics.
@@ -197,7 +208,7 @@ class Registry {
     std::function<double()> fn;
   };
 
-  Metric* Find(const std::string& name, const std::string& labels)
+  Metric* Find(const std::string& name, const std::string& labels) const
       CPDB_REQUIRES(mu_);
 
   mutable Mutex mu_;

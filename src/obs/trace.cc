@@ -216,9 +216,9 @@ std::string SpanStore::TracesJson(size_t max_per_kind) const {
         traces.push_back(ring.traces[idx]);
       }
     }
-    size_t n = slow_.traces.size() < max_per_kind ? slow_.traces.size()
-                                                  : max_per_kind;
-    for (size_t i = 0; i < n; ++i) {
+    // The slow ring is served whole: it already holds at most slow_cap_
+    // trees, and each one is an offender an operator asked to keep.
+    for (size_t i = 0; i < slow_.traces.size(); ++i) {
       size_t idx =
           (slow_.next + slow_.traces.size() - 1 - i) % slow_.traces.size();
       slow.push_back(slow_.traces[idx]);

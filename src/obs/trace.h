@@ -162,7 +162,8 @@ class SpanStore {
 
   /// Every ring rendered: {"slow_threshold_us":...,"recorded":N,
   /// "slow_recorded":M,"traces":[tree,...],"slow":[tree,...]} with up to
-  /// `max_per_kind` most-recent trees per root kind.
+  /// `max_per_kind` most-recent trees per root kind in "traces" and the
+  /// whole slow ring (up to its capacity), newest first, in "slow".
   std::string TracesJson(size_t max_per_kind = 8) const CPDB_EXCLUDES(mu_);
 
  private:

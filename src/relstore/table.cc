@@ -189,6 +189,11 @@ Result<Row> Table::Get(const Rid& rid) const {
   return row;
 }
 
+Result<Row> Table::GetIndexed(const Rid& rid) const {
+  index_rows_.Add(1);
+  return Get(rid);
+}
+
 Status Table::Delete(const Rid& rid) {
   CPDB_ASSIGN_OR_RETURN(Row row, Get(rid));
   CPDB_RETURN_IF_ERROR(heap_.Delete(rid));
@@ -222,7 +227,7 @@ Status Table::DeleteRowImage(const Row& row) {
     }
     Row key = ExtractKey(idx, row);
     auto emit = [&](const Rid& rid) {
-      auto fetched = Get(rid);
+      auto fetched = GetIndexed(rid);
       if (!fetched.ok()) {
         inner = fetched.status();
         return false;
@@ -276,7 +281,7 @@ Result<size_t> Table::DeleteWhere(
   Status inner = Status::OK();
   auto match = [&](const Rid& rid) {
     if (pred != nullptr) {
-      auto row = Get(rid);
+      auto row = GetIndexed(rid);
       if (!row.ok()) {
         inner = row.status();
         return false;
@@ -457,12 +462,15 @@ Result<size_t> Table::ApplyBatch(const WriteBatch& batch) {
 
 void Table::Scan(
     const std::function<bool(const Rid&, const Row&)>& fn) const {
+  uint64_t rows = 0;
   heap_.Scan([&](const Rid& rid, const std::string& rec) {
+    ++rows;
     Row row;
     size_t pos = 0;
     if (!DecodeRow(rec, &pos, &row)) return true;  // skip corrupt
     return fn(rid, row);
   });
+  heap_scan_rows_.Add(rows);
 }
 
 Result<Table::Cursor> Table::OpenScan(ScanSpec spec) const {
@@ -517,7 +525,7 @@ bool Table::Cursor::Next(Row* row, Rid* rid) {
         break;  // ordered: past the prefix range
       }
     }
-    auto fetched = table_->Get(pos_.rid());
+    auto fetched = table_->GetIndexed(pos_.rid());
     if (!fetched.ok()) {
       status_ = fetched.status();
       done_ = true;
@@ -570,7 +578,7 @@ Status Table::MultiGet(
                                      index_name + "'");
     }
     auto emit = [&](const Rid& rid) {
-      auto row = Get(rid);
+      auto row = GetIndexed(rid);
       if (!row.ok()) {
         inner = row.status();
         return false;
@@ -606,7 +614,7 @@ Status Table::LookupEq(
   }
   Status inner = Status::OK();
   auto emit = [&](const Rid& rid) {
-    auto row = Get(rid);
+    auto row = GetIndexed(rid);
     if (!row.ok()) {
       inner = row.status();
       return false;
@@ -637,7 +645,7 @@ Status Table::ScanPrefix(
   idx->btree->ScanFrom({Datum(prefix)}, [&](const Row& key, const Rid& rid) {
     if (key.empty() || !key[0].is_string()) return true;
     if (!StartsWith(key[0].AsString(), prefix)) return false;  // done
-    auto row = Get(rid);
+    auto row = GetIndexed(rid);
     if (!row.ok()) {
       inner = row.status();
       return false;
@@ -659,7 +667,7 @@ Status Table::ScanIndex(
   }
   Status inner = Status::OK();
   idx->btree->ScanAll([&](const Row&, const Rid& rid) {
-    auto row = Get(rid);
+    auto row = GetIndexed(rid);
     if (!row.ok()) {
       inner = row.status();
       return false;

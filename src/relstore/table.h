@@ -1,5 +1,7 @@
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -206,7 +208,33 @@ class Table {
   /// Bytes of live row payload.
   size_t LiveBytes() const { return heap_.LiveBytes(); }
 
+  /// Work done per access path since the table was created: rows decoded
+  /// by full heap scans (Scan and everything built on it), and rows
+  /// fetched through an index probe (point lookups, MultiGet, cursors,
+  /// index-routed deletes that read the row). Unique-key checks read only
+  /// index keys and count as neither. Relaxed counters, bumped by
+  /// concurrent readers too: a read may trail an in-flight scan.
+  uint64_t heap_scan_rows() const { return heap_scan_rows_.Value(); }
+  uint64_t index_rows() const { return index_rows_.Value(); }
+
  private:
+  /// A relaxed atomic row counter that moves with its table (Table is a
+  /// movable value type; std::atomic alone is not movable).
+  class RowCounter {
+   public:
+    RowCounter() = default;
+    RowCounter(RowCounter&& o) noexcept : v_(o.Value()) {}
+    RowCounter& operator=(RowCounter&& o) noexcept {
+      v_.store(o.Value(), std::memory_order_relaxed);
+      return *this;
+    }
+    void Add(uint64_t n) const { v_.fetch_add(n, std::memory_order_relaxed); }
+    uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
+
+   private:
+    mutable std::atomic<uint64_t> v_{0};
+  };
+
   struct Index {
     std::string name;
     std::vector<int> columns;
@@ -218,12 +246,16 @@ class Table {
 
   Row ExtractKey(const Index& idx, const Row& row) const;
   const Index* FindIndex(const std::string& name) const;
+  /// Get() for a rid an index probe produced, counted as index work.
+  Result<Row> GetIndexed(const Rid& rid) const;
 
   std::string name_;
   Schema schema_;
   HeapFile heap_;
   std::vector<Index> indexes_;
   Journal* journal_ = nullptr;
+  RowCounter heap_scan_rows_;
+  RowCounter index_rows_;
 };
 
 }  // namespace cpdb::relstore

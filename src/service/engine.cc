@@ -73,9 +73,6 @@ void Engine::WireMetrics() {
   vm.rebuild_rows = counter("cpdb_snapshot_rebuild_rows_total",
                             "Rows scanned by full rebuilds",
                             "snapshot_rebuild_rows");
-  vm.refreshes = counter("cpdb_snapshot_refreshes_total",
-                         "O(1) session snapshot re-pins",
-                         "snapshot_refreshes");
   snapshots_.set_metrics(vm);
 
   if (backend_->db()->durable()) {

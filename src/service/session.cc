@@ -205,7 +205,6 @@ bool SessionPool::Refresh(Session* s) {
   s->pin_ = std::move(pin);
   s->snapshot_tid_ = s->pin_.tid;
   s->backend_view_.set_read_watermark(s->snapshot_tid_);
-  snaps.NoteRefresh();
   return true;
 }
 

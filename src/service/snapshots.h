@@ -51,8 +51,7 @@ class SnapshotManager {
     obs::Counter* gced = nullptr;
     obs::Counter* rebuilds = nullptr;
     obs::Counter* rebuild_rows = nullptr;
-    obs::Counter* refreshes = nullptr;  ///< O(1) session re-pins
-    obs::Gauge* live = nullptr;         ///< versions in the chain
+    obs::Gauge* live = nullptr;  ///< versions in the chain
   };
   void set_metrics(const Metrics& m) { metrics_ = m; }
 
@@ -107,11 +106,6 @@ class SnapshotManager {
   void NoteRebuild(size_t rows) {
     if (metrics_.rebuilds) metrics_.rebuilds->Inc();
     if (metrics_.rebuild_rows) metrics_.rebuild_rows->Inc(rows);
-  }
-
-  /// Accounting for the fast path: an O(1) re-pin of a pooled session.
-  void NoteRefresh() {
-    if (metrics_.refreshes) metrics_.refreshes->Inc();
   }
 
  private:

@@ -1,5 +1,7 @@
 #include "wrap/relational_target.h"
 
+#include <optional>
+
 #include "util/str.h"
 #include "wrap/relational_source.h"
 
@@ -7,9 +9,16 @@ namespace cpdb::wrap {
 
 using relstore::ColumnType;
 using relstore::Datum;
+using relstore::IndexDef;
+using relstore::IndexKind;
 using relstore::Rid;
 using relstore::Row;
 using relstore::Table;
+
+Status RelationalTargetDb::CreateKeyIndex(Table* table) {
+  return table->CreateIndex(kKeyIndex, {0}, IndexKind::kBTree,
+                            /*unique=*/true);
+}
 
 Result<tree::Tree> RelationalTargetDb::TreeFromDb() {
   // The read side is identical to the source wrapper's keyed view.
@@ -18,30 +27,62 @@ Result<tree::Tree> RelationalTargetDb::TreeFromDb() {
 }
 
 Result<Table*> RelationalTargetDb::TableFor(const std::string& name) {
-  for (const std::string& t : tables_) {
-    if (t == name) return db_->GetTable(name);
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    if (tables_[i] != name) continue;
+    if (keyed_[i] != nullptr) return keyed_[i];
+    CPDB_ASSIGN_OR_RETURN(Table * table, db_->GetTable(name));
+    for (const IndexDef& def : table->IndexDefs()) {
+      if (def.name == kKeyIndex && def.kind == IndexKind::kBTree &&
+          def.unique && def.columns == std::vector<int>{0}) {
+        keyed_[i] = table;
+        return table;
+      }
+    }
+    return Status::FailedPrecondition(
+        "table '" + name + "' of target " + name_ + " has no key index '" +
+        kKeyIndex +
+        "' (unique B+-tree on column 0); it is created with the table by "
+        "RelationalTargetDb::CreateKeyIndex, which needs an empty table");
   }
   return Status::NotFound("table '" + name + "' is not exposed by target " +
                           name_);
 }
 
-Result<Rid> RelationalTargetDb::FindRow(Table* table,
-                                        const std::string& tid_label) {
-  Rid found{0, 0};
-  bool ok = false;
-  table->Scan([&](const Rid& rid, const Row& row) {
-    if (!row.empty() && row[0].ToString() == tid_label) {
-      found = rid;
-      ok = true;
-      return false;
-    }
+Status RelationalTargetDb::CheckKeyIndexes() {
+  for (const std::string& t : tables_) {
+    CPDB_RETURN_IF_ERROR(TableFor(t).status());
+  }
+  return Status::OK();
+}
+
+bool RelationalTargetDb::KeyDatum(const Table& table, const std::string& label,
+                                  Datum* out) {
+  if (table.schema().column(0).type != ColumnType::kInt64) {
+    *out = Datum(label);
     return true;
-  });
-  if (!ok) {
+  }
+  int64_t key = 0;
+  if (!ParseInt64(label, &key)) return false;
+  *out = Datum(key);
+  return true;
+}
+
+Result<RelationalTargetDb::Tuple> RelationalTargetDb::FindRow(
+    Table* table, const std::string& tid_label) {
+  Datum key;
+  std::optional<Tuple> found;
+  if (KeyDatum(*table, tid_label, &key)) {
+    CPDB_RETURN_IF_ERROR(table->LookupEq(
+        kKeyIndex, {key}, [&](const Rid& rid, const Row& row) {
+          found = Tuple{rid, row};
+          return false;
+        }));
+  }
+  if (!found.has_value()) {
     return Status::NotFound("no tuple '" + tid_label + "' in table " +
                             table->name());
   }
-  return found;
+  return std::move(*found);
 }
 
 Status RelationalTargetDb::RewriteRow(Table* table, const Rid& rid,
@@ -97,15 +138,12 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
               "a tuple node cannot carry a data value");
         }
         Row row(table->schema().NumColumns());
-        row[0] = Datum(u.label);
-        if (table->schema().column(0).type == ColumnType::kInt64) {
-          int64_t key;
-          if (!ParseInt64(u.label, &key)) {
-            return Status::InvalidArgument("tuple id '" + u.label +
-                                           "' is not an integer key");
-          }
-          row[0] = Datum(key);
+        if (!KeyDatum(*table, u.label, &row[0])) {
+          return Status::InvalidArgument("tuple id '" + u.label +
+                                         "' is not an integer key");
         }
+        // An existing id fails the key index's unique constraint
+        // (AlreadyExists) — the tuple is never duplicated.
         return table->Insert(row).status();
       }
       if (p.Depth() == 2) {
@@ -116,18 +154,17 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
           return Status::NotSupported("no column '" + u.label +
                                       "' in table " + p.At(0));
         }
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, p.At(1)));
-        CPDB_ASSIGN_OR_RETURN(Row row, table->Get(rid));
-        if (!row[static_cast<size_t>(col)].is_null()) {
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(table, p.At(1)));
+        if (!t.row[static_cast<size_t>(col)].is_null()) {
           return Status::AlreadyExists("field '" + u.label +
                                        "' already set");
         }
         tree::Value v = u.value.value_or(tree::Value());
         CPDB_ASSIGN_OR_RETURN(
-            row[static_cast<size_t>(col)],
+            t.row[static_cast<size_t>(col)],
             ValueToDatum(v, table->schema().column(static_cast<size_t>(col))
                                 .type));
-        return RewriteRow(table, rid, std::move(row));
+        return RewriteRow(table, t.rid, std::move(t.row));
       }
       return Status::NotSupported(
           "relational target supports only R and R/tid insert depths");
@@ -137,8 +174,8 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
       if (p.Depth() == 1) {
         // del tid from R.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, u.label));
-        return table->Delete(rid);
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(table, u.label));
+        return table->Delete(t.rid);
       }
       if (p.Depth() == 2) {
         // del F from R/tid: NULL out the field.
@@ -148,10 +185,9 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
           return Status::NotSupported("no column '" + u.label +
                                       "' in table " + p.At(0));
         }
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, p.At(1)));
-        CPDB_ASSIGN_OR_RETURN(Row row, table->Get(rid));
-        row[static_cast<size_t>(col)] = Datum();
-        return RewriteRow(table, rid, std::move(row));
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(table, p.At(1)));
+        t.row[static_cast<size_t>(col)] = Datum();
+        return RewriteRow(table, t.rid, std::move(t.row));
       }
       return Status::NotSupported(
           "relational target supports only R and R/tid delete depths");
@@ -168,19 +204,10 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
         auto existing = FindRow(table, p.At(1));
         Row row(table->schema().NumColumns());
         if (existing.ok()) {
-          CPDB_ASSIGN_OR_RETURN(row, table->Get(existing.value()));
-        } else {
-          row[0] = table->schema().column(0).type == ColumnType::kInt64
-                       ? Datum()
-                       : Datum(p.At(1));
-          if (table->schema().column(0).type == ColumnType::kInt64) {
-            int64_t key;
-            if (!ParseInt64(p.At(1), &key)) {
-              return Status::InvalidArgument("tuple id '" + p.At(1) +
-                                             "' is not an integer key");
-            }
-            row[0] = Datum(key);
-          }
+          row = existing.value().row;
+        } else if (!KeyDatum(*table, p.At(1), &row[0])) {
+          return Status::InvalidArgument("tuple id '" + p.At(1) +
+                                         "' is not an integer key");
         }
         for (const auto& [label, child] : copied_subtree->children()) {
           int col = table->schema().IndexOf(label);
@@ -197,7 +224,7 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
                                   .type));
         }
         if (existing.ok()) {
-          return RewriteRow(table, existing.value(), std::move(row));
+          return RewriteRow(table, existing.value().rid, std::move(row));
         }
         return table->Insert(row).status();
       }
@@ -209,15 +236,14 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
           return Status::NotSupported("no column '" + p.At(2) +
                                       "' in table " + p.At(0));
         }
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, p.At(1)));
-        CPDB_ASSIGN_OR_RETURN(Row row, table->Get(rid));
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(table, p.At(1)));
         tree::Value v = copied_subtree->HasValue() ? copied_subtree->value()
                                                    : tree::Value();
         CPDB_ASSIGN_OR_RETURN(
-            row[static_cast<size_t>(col)],
+            t.row[static_cast<size_t>(col)],
             ValueToDatum(v, table->schema().column(static_cast<size_t>(col))
                                 .type));
-        return RewriteRow(table, rid, std::move(row));
+        return RewriteRow(table, t.rid, std::move(t.row));
       }
       return Status::NotSupported(
           "relational target supports pastes at R/tid and R/tid/F only");

@@ -23,13 +23,35 @@ namespace cpdb::wrap {
 /// Updates that do not fit the relational schema (new tables, extra
 /// nesting, unknown fields) fail with NotSupported/InvalidArgument —
 /// mirroring a real wrapper's schema mapping limits.
+///
+/// Access path: every tuple is located through its table's key index —
+/// a unique B+-tree named kKeyIndex on column 0, made by CreateKeyIndex
+/// while the table is empty — so each op costs one O(log n) probe, never
+/// a heap scan. A table without it fails at first use with
+/// FailedPrecondition.
 class RelationalTargetDb : public TargetDb {
  public:
+  /// Name of the key index every exposed table carries.
+  static constexpr const char* kKeyIndex = "pk";
+
+  /// Gives an empty `table` its key index: unique B+-tree on column 0.
+  /// The one definition of the index's name and shape.
+  static Status CreateKeyIndex(relstore::Table* table);
+
   /// Exposes `tables` of `db`; first column of each table is the tuple
-  /// identifier (as in RelationalSourceDb).
+  /// identifier (as in RelationalSourceDb). The tables must outlive the
+  /// target: their handles are resolved once and cached.
   RelationalTargetDb(std::string name, relstore::Database* db,
                      std::vector<std::string> tables)
-      : name_(std::move(name)), db_(db), tables_(std::move(tables)) {}
+      : name_(std::move(name)),
+        db_(db),
+        tables_(std::move(tables)),
+        keyed_(tables_.size(), nullptr) {}
+
+  /// Resolves every exposed table and its key index now instead of at
+  /// first use — a server calls this at startup so a store without the
+  /// index is refused before it serves. Same errors as first use.
+  Status CheckKeyIndexes();
 
   const std::string& name() const override { return name_; }
 
@@ -54,11 +76,25 @@ class RelationalTargetDb : public TargetDb {
   /// The path-to-SQL mechanics of one update, with no cost charged.
   Status ApplyOne(const update::Update& u, const tree::Tree* copied_subtree);
 
+  /// The exposed table `name`, resolved (and its key index checked) on
+  /// first use. Called only on the apply path, which the engine runs
+  /// single-writer, so the cache needs no lock.
   Result<relstore::Table*> TableFor(const std::string& name);
 
-  /// Finds the row with identifier `tid_label` (first-column rendering).
-  Result<relstore::Rid> FindRow(relstore::Table* table,
-                                const std::string& tid_label);
+  /// The tuple-identifier datum for `label` in `table`'s column 0: an
+  /// integer key column takes the parsed label. False when it does not
+  /// parse.
+  static bool KeyDatum(const relstore::Table& table, const std::string& label,
+                       relstore::Datum* out);
+
+  /// A located tuple: where it lives and what it holds.
+  struct Tuple {
+    relstore::Rid rid;
+    relstore::Row row;
+  };
+
+  /// Finds the tuple with identifier `tid_label` with one key-index probe.
+  Result<Tuple> FindRow(relstore::Table* table, const std::string& tid_label);
 
   /// Replaces a row in place (delete + insert).
   Status RewriteRow(relstore::Table* table, const relstore::Rid& rid,
@@ -70,6 +106,8 @@ class RelationalTargetDb : public TargetDb {
   std::string name_;
   relstore::Database* db_;
   std::vector<std::string> tables_;
+  /// Parallel to tables_: the resolved handle, null until first use.
+  std::vector<relstore::Table*> keyed_;
 };
 
 }  // namespace cpdb::wrap

@@ -55,7 +55,9 @@ void EnsureProtTable(Database* db) {
       {{"id", relstore::ColumnType::kString, false},
        {"name", relstore::ColumnType::kString, true},
        {"loc", relstore::ColumnType::kString, true}});
-  ASSERT_TRUE(db->CreateTable("prot", schema).ok());
+  auto prot = db->CreateTable("prot", schema);
+  ASSERT_TRUE(prot.ok());
+  ASSERT_TRUE(wrap::RelationalTargetDb::CreateKeyIndex(*prot).ok());
 }
 
 std::vector<Row> SortedProtRows(Database* db) {
@@ -298,6 +300,66 @@ TEST(CrashRecoveryTest, MidRunCheckpointThenCrashRecoversFully) {
     EXPECT_TRUE((*db)->durability()->stats().snapshot_loaded);
     ExpectStateEquals(db->get(), captures.back(), strategy);
   }
+}
+
+TEST(CrashRecoveryTest, KeyIndexRecoversFromLogAndCheckpoint) {
+  // The target's key index is DDL like the table: it rides the log with
+  // the first commit and the checkpoint's index definitions, so both
+  // recovery routes hand back a table the target can probe.
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint" : "log replay");
+    TempDir dir("key_index");
+    std::vector<Capture> captures = RunGolden(
+        Strategy::kHierarchicalTransactional, dir.path(),
+        checkpoint ? [](Database* db) { ASSERT_TRUE(db->Checkpoint().ok()); }
+                   : std::function<void(Database*)>());
+    ASSERT_FALSE(captures.empty());
+    auto db = Database::Open("curated", dir.path());
+    ASSERT_TRUE(db.ok()) << db.status();
+    wrap::RelationalTargetDb target("T", db->get(), {"prot"});
+    EXPECT_TRUE(target.CheckKeyIndexes().ok());
+    auto prot = (*db)->GetTable("prot");
+    ASSERT_TRUE(prot.ok());
+    const uint64_t heap0 = (*prot)->heap_scan_rows();
+    ASSERT_FALSE(captures.back().prot_rows.empty());
+    const std::string id = captures.back().prot_rows[0][0].AsString();
+    ASSERT_TRUE(target
+                    .ApplyNative(update::Update::Delete(
+                                     Path::MustParse("prot"), id),
+                                 nullptr)
+                    .ok());
+    EXPECT_EQ((*prot)->heap_scan_rows(), heap0);
+  }
+}
+
+TEST(CrashRecoveryTest, StoreWithoutKeyIndexIsRefused) {
+  // A store written before targets carried a key index: its table has
+  // rows and no index, and one cannot be added to a non-empty table.
+  // The target refuses it by name instead of falling back to scans.
+  TempDir dir("pre_pk");
+  {
+    auto db = Database::Open("curated", dir.path());
+    ASSERT_TRUE(db.ok()) << db.status();
+    relstore::Schema schema({{"id", relstore::ColumnType::kString, false},
+                             {"name", relstore::ColumnType::kString, true}});
+    auto prot = (*db)->CreateTable("prot", schema);
+    ASSERT_TRUE(prot.ok());
+    ASSERT_TRUE((*prot)->Insert({relstore::Datum("p1"), relstore::Datum()})
+                    .ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open("curated", dir.path());
+  ASSERT_TRUE(db.ok()) << db.status();
+  wrap::RelationalTargetDb target("T", db->get(), {"prot"});
+  Status st = target.CheckKeyIndexes();
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_NE(st.message().find("'prot'"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("'pk'"), std::string::npos) << st.message();
+  EXPECT_TRUE(target
+                  .ApplyNative(update::Update::Delete(
+                                   Path::MustParse("prot"), "p1"),
+                               nullptr)
+                  .IsFailedPrecondition());
 }
 
 }  // namespace

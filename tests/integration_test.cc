@@ -108,7 +108,9 @@ TEST(IntegrationTest, RelationalTargetEndToEnd) {
                             true},
                            {"species", relstore::ColumnType::kString,
                             true}});
-  ASSERT_TRUE(target_db.CreateTable("catalog", schema).ok());
+  auto catalog = target_db.CreateTable("catalog", schema);
+  ASSERT_TRUE(catalog.ok());
+  ASSERT_TRUE(wrap::RelationalTargetDb::CreateKeyIndex(*catalog).ok());
   wrap::RelationalTargetDb target("T", &target_db, {"catalog"});
 
   wrap::TreeSourceDb source("S1", workload::GenOrganelleLike(10, 23));

@@ -297,7 +297,11 @@ struct NetRig {
           {{"id", relstore::ColumnType::kString, false},
            {"f1", relstore::ColumnType::kString, true},
            {"f2", relstore::ColumnType::kString, true}});
-      EXPECT_TRUE(db->CreateTable("data", schema).ok());
+      auto data = db->CreateTable("data", schema);
+      EXPECT_TRUE(data.ok());
+      if (data.ok()) {
+        EXPECT_TRUE(wrap::RelationalTargetDb::CreateKeyIndex(*data).ok());
+      }
     }
     backend = std::make_unique<provenance::ProvBackend>(db.get());
     target = std::make_unique<wrap::RelationalTargetDb>(
@@ -321,9 +325,12 @@ struct NetRig {
 
   int port() const { return server->port(); }
 
-  /// A server counter, read from the engine registry it counts into.
+  /// A server counter, read from the engine registry it counts into. A
+  /// name the server never registered fails the test.
   uint64_t Count(const char* name) const {
-    return engine->metrics().GetCounter(name, "")->Value();
+    const obs::Counter* c = engine->metrics().FindCounter(name);
+    EXPECT_NE(c, nullptr) << "no counter " << name;
+    return c == nullptr ? 0 : c->Value();
   }
 
   std::unique_ptr<relstore::Database> db;

@@ -106,6 +106,32 @@ TEST(RegistryTest, SameNameAndLabelsReturnsSameObject) {
   EXPECT_NE(h1, h2);
 }
 
+TEST(RegistryTest, FindReadsWithoutRegistering) {
+  Registry reg;
+  reg.GetCounter("cpdb_commits_total", "h")->Inc(5);
+  reg.GetGauge("cpdb_depth", "h")->Set(2);
+  reg.SetCallback("cpdb_cb_total", "h", true, [] { return 1.0; });
+  const std::string before = reg.RenderPrometheus();
+
+  const Counter* c = reg.FindCounter("cpdb_commits_total");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->Value(), 5u);
+  const Gauge* g = reg.FindGauge("cpdb_depth");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->Value(), 2);
+
+  // A mistyped name, a wrong label set, or a series of another kind
+  // reads as nullptr...
+  EXPECT_EQ(reg.FindCounter("cpdb_comits_total"), nullptr);
+  EXPECT_EQ(reg.FindCounter("cpdb_commits_total", "verb=\"GET\""), nullptr);
+  EXPECT_EQ(reg.FindCounter("cpdb_depth"), nullptr);
+  EXPECT_EQ(reg.FindGauge("cpdb_commits_total"), nullptr);
+  EXPECT_EQ(reg.FindCounter("cpdb_cb_total"), nullptr);
+  // ...and adds no series to the exposition.
+  EXPECT_EQ(reg.RenderPrometheus(), before);
+  EXPECT_EQ(before.find("cpdb_comits_total"), std::string::npos);
+}
+
 TEST(RegistryTest, PrometheusExpositionParses) {
   Registry reg;
   reg.GetCounter("cpdb_commits_total", "Transactions committed", "", "")
@@ -359,6 +385,43 @@ TEST(SpanStoreTest, SlowThresholdCapturesEvenUnsampledTraces) {
   store.Record(MakeTrace(3, 9000), /*sampled=*/true);
   EXPECT_EQ(store.recorded(), 1u);
   EXPECT_EQ(store.slow_recorded(), 2u);
+}
+
+TEST(SpanStoreTest, TracesJsonServesTheWholeSlowRingNewestFirst) {
+  // More slow trees than the per-kind cap of the recent rings: every one
+  // the slow ring holds must be readable, not just the first eight.
+  SpanStore store(/*capacity=*/4, /*slow_capacity=*/64);
+  store.SetSlowThresholdUs(1000);
+  for (uint64_t id = 1; id <= 20; ++id) {
+    store.Record(MakeTrace(id, 5000), /*sampled=*/false);
+  }
+  const std::string json = store.TracesJson();
+  const size_t slow_at = json.find("\"slow\":[");
+  ASSERT_NE(slow_at, std::string::npos) << json;
+  size_t trees = 0;
+  size_t prev = slow_at;
+  for (uint64_t id = 20; id >= 1; --id) {
+    const size_t at =
+        json.find("\"trace_id\":" + std::to_string(id) + ",", slow_at);
+    ASSERT_NE(at, std::string::npos) << "slow tree " << id << " missing";
+    EXPECT_GT(at, prev) << "slow ring not newest first at " << id;
+    prev = at;
+    ++trees;
+  }
+  EXPECT_EQ(trees, 20u);
+
+  // A full slow ring is served up to its capacity and no further.
+  SpanStore small(4, /*slow_capacity=*/3);
+  small.SetSlowThresholdUs(1000);
+  for (uint64_t id = 1; id <= 5; ++id) {
+    small.Record(MakeTrace(id, 5000), /*sampled=*/false);
+  }
+  const std::string small_json = small.TracesJson();
+  const size_t small_slow = small_json.find("\"slow\":[");
+  EXPECT_EQ(small_json.find("\"trace_id\":2,", small_slow),
+            std::string::npos);
+  EXPECT_NE(small_json.find("\"trace_id\":3,", small_slow),
+            std::string::npos);
 }
 
 }  // namespace

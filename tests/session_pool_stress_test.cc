@@ -77,10 +77,13 @@ TEST(SessionPoolStressTest, ReuseVsRebuildUnderChurn) {
   EXPECT_EQ(failures.load(), 0u);
   // Conservation: every Acquire was exactly one reuse or one build.
   obs::Registry& reg = engine.metrics();
-  const uint64_t built =
-      reg.GetCounter("cpdb_sessions_built_total", "")->Value();
-  const uint64_t reused =
-      reg.GetCounter("cpdb_sessions_reused_total", "")->Value();
+  const obs::Counter* built_c = reg.FindCounter("cpdb_sessions_built_total");
+  const obs::Counter* reused_c =
+      reg.FindCounter("cpdb_sessions_reused_total");
+  ASSERT_NE(built_c, nullptr);
+  ASSERT_NE(reused_c, nullptr);
+  const uint64_t built = built_c->Value();
+  const uint64_t reused = reused_c->Value();
   EXPECT_EQ(built + reused, static_cast<uint64_t>(kThreads) * kRounds);
   EXPECT_GE(built, 1u);
   // The committed inserts all landed in the shared state.

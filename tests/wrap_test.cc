@@ -9,6 +9,24 @@ using relstore::ColumnType;
 using relstore::Datum;
 using tree::Path;
 
+/// Creates `name` in `db` with the key index every relational target
+/// table carries.
+relstore::Table* CreateKeyedTable(relstore::Database* db,
+                                  const std::string& name,
+                                  relstore::Schema schema) {
+  auto table = db->CreateTable(name, std::move(schema));
+  EXPECT_TRUE(table.ok());
+  if (!table.ok()) return nullptr;
+  EXPECT_TRUE(RelationalTargetDb::CreateKeyIndex(*table).ok());
+  return *table;
+}
+
+relstore::Schema ProtSchema() {
+  return relstore::Schema({{"id", ColumnType::kString, false},
+                           {"name", ColumnType::kString, true},
+                           {"loc", ColumnType::kString, true}});
+}
+
 relstore::Database MakeSourceDb() {
   relstore::Database db("organelledb");
   auto table = workload::FillOrganelleRelational(&db, 5, 3);
@@ -62,10 +80,7 @@ TEST(RelationalSourceDbTest, ChargesCostPerCall) {
 
 TEST(RelationalTargetDbTest, AtomicUpdatesMapToRowOperations) {
   relstore::Database db("targetdb");
-  relstore::Schema schema({{"id", ColumnType::kString, false},
-                           {"name", ColumnType::kString, true},
-                           {"loc", ColumnType::kString, true}});
-  ASSERT_TRUE(db.CreateTable("prot", schema).ok());
+  ASSERT_NE(CreateKeyedTable(&db, "prot", ProtSchema()), nullptr);
   RelationalTargetDb target("T", &db, {"prot"});
 
   // ins {p1 : {}} into prot  -> fresh tuple.
@@ -126,10 +141,7 @@ TEST(RelationalTargetDbTest, AtomicUpdatesMapToRowOperations) {
 
 TEST(RelationalTargetDbTest, WholeTupleUpsertFromPaste) {
   relstore::Database db("targetdb");
-  relstore::Schema schema({{"id", ColumnType::kString, false},
-                           {"name", ColumnType::kString, true},
-                           {"loc", ColumnType::kString, true}});
-  ASSERT_TRUE(db.CreateTable("prot", schema).ok());
+  ASSERT_NE(CreateKeyedTable(&db, "prot", ProtSchema()), nullptr);
   RelationalTargetDb target("T", &db, {"prot"});
 
   auto tuple = tree::ParseTree("{name: CRP, loc: plasma}");
@@ -148,7 +160,7 @@ TEST(RelationalTargetDbTest, SchemaMismatchesAreRejected) {
   relstore::Database db("targetdb");
   relstore::Schema schema({{"id", ColumnType::kString, false},
                            {"name", ColumnType::kString, true}});
-  ASSERT_TRUE(db.CreateTable("prot", schema).ok());
+  ASSERT_NE(CreateKeyedTable(&db, "prot", schema), nullptr);
   RelationalTargetDb target("T", &db, {"prot"});
   // Unknown table.
   EXPECT_FALSE(target
@@ -174,6 +186,132 @@ TEST(RelationalTargetDbTest, SchemaMismatchesAreRejected) {
                                     tree::Value("red")),
                                 nullptr)
                    .ok());
+}
+
+TEST(RelationalTargetDbTest, DuplicateTupleIdIsRejectedByTheKeyIndex) {
+  relstore::Database db("targetdb");
+  relstore::Table* prot = CreateKeyedTable(&db, "prot", ProtSchema());
+  ASSERT_NE(prot, nullptr);
+  RelationalTargetDb target("T", &db, {"prot"});
+  const auto ins = update::Update::Insert(Path::MustParse("prot"), "p1");
+  ASSERT_TRUE(target.ApplyNative(ins, nullptr).ok());
+  // A second tuple with the same id would be a duplicate edge in tree
+  // terms; the unique key index refuses it instead of storing it.
+  Status again = target.ApplyNative(ins, nullptr);
+  EXPECT_TRUE(again.IsAlreadyExists()) << again.ToString();
+  EXPECT_EQ(prot->RowCount(), 1u);
+}
+
+TEST(RelationalTargetDbTest, TableWithoutKeyIndexFailsAtFirstUse) {
+  relstore::Database db("targetdb");
+  ASSERT_TRUE(db.CreateTable("prot", ProtSchema()).ok());
+  RelationalTargetDb target("T", &db, {"prot"});
+  Status st = target.ApplyNative(
+      update::Update::Insert(Path::MustParse("prot"), "p1"), nullptr);
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_NE(st.message().find("'prot'"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("'pk'"), std::string::npos) << st.message();
+  Status checked = target.CheckKeyIndexes();
+  EXPECT_TRUE(checked.IsFailedPrecondition()) << checked.ToString();
+  // A unique index on column 0 under another shape does not qualify
+  // either: the key index has one definition.
+  relstore::Database other("targetdb");
+  auto genes = other.CreateTable("genes", ProtSchema());
+  ASSERT_TRUE(genes.ok());
+  ASSERT_TRUE((*genes)
+                  ->CreateIndex("pk", {0}, relstore::IndexKind::kBTree,
+                                /*unique=*/false)
+                  .ok());
+  RelationalTargetDb loose("T", &other, {"genes"});
+  EXPECT_TRUE(loose.CheckKeyIndexes().IsFailedPrecondition());
+}
+
+TEST(RelationalTargetDbTest, IntegerKeysAreProbedByValue) {
+  relstore::Database db("targetdb");
+  relstore::Schema schema({{"id", ColumnType::kInt64, false},
+                           {"name", ColumnType::kString, true}});
+  ASSERT_NE(CreateKeyedTable(&db, "prot", schema), nullptr);
+  RelationalTargetDb target("T", &db, {"prot"});
+  ASSERT_TRUE(target
+                  .ApplyNative(update::Update::Insert(
+                                   Path::MustParse("prot"), "42"),
+                               nullptr)
+                  .ok());
+  ASSERT_TRUE(target
+                  .ApplyNative(update::Update::Insert(
+                                   Path::MustParse("prot/42"), "name",
+                                   tree::Value("CRP")),
+                               nullptr)
+                  .ok());
+  auto view = target.TreeFromDb();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->Find(Path::MustParse("prot/42/name"))->value().AsString(),
+            "CRP");
+  // A label that is not an integer names no tuple of an integer-keyed
+  // table, and cannot create one.
+  EXPECT_TRUE(target
+                  .ApplyNative(update::Update::Delete(
+                                   Path::MustParse("prot"), "x42"),
+                               nullptr)
+                  .IsNotFound());
+  EXPECT_TRUE(target
+                  .ApplyNative(update::Update::Insert(
+                                   Path::MustParse("prot"), "x42"),
+                               nullptr)
+                  .IsInvalidArgument());
+}
+
+// The O(1)-in-table-size gate for the served target's apply path: a
+// field edit locates its tuple with one key-index probe, so a batch of 8
+// edits on a 10 000-row table reads exactly 8 rows through the index and
+// none through a heap scan.
+TEST(RelationalTargetDbTest, FieldEditsExamineOneIndexRowEachAndNoHeapRows) {
+  relstore::Database db("targetdb");
+  relstore::Table* prot = CreateKeyedTable(&db, "prot", ProtSchema());
+  ASSERT_NE(prot, nullptr);
+  constexpr int kRows = 10000;
+  std::vector<relstore::Row> rows;
+  rows.reserve(kRows);
+  for (int i = 0; i < kRows; ++i) {
+    rows.push_back({Datum("p" + std::to_string(i)), Datum(), Datum()});
+  }
+  ASSERT_TRUE(prot->BulkLoad(rows).ok());
+  RelationalTargetDb target("T", &db, {"prot"});
+
+  tree::Tree leaf{tree::Value("membrane")};
+  std::vector<NativeOp> ops;
+  for (int i = 0; i < 8; ++i) {
+    const std::string tuple = "prot/p" + std::to_string(i * 1237);
+    if (i % 2 == 0) {
+      ops.push_back({update::Update::Insert(Path::MustParse(tuple), "name",
+                                            tree::Value("n" +
+                                                        std::to_string(i))),
+                     nullptr});
+    } else {
+      ops.push_back({update::Update::Copy(Path(),
+                                          Path::MustParse(tuple + "/loc")),
+                     &leaf});
+    }
+  }
+  const uint64_t heap0 = prot->heap_scan_rows();
+  const uint64_t index0 = prot->index_rows();
+  ASSERT_TRUE(target.ApplyBatch(ops).ok());
+  EXPECT_EQ(prot->index_rows() - index0, 8u);
+  EXPECT_EQ(prot->heap_scan_rows() - heap0, 0u);
+  EXPECT_EQ(prot->RowCount(), static_cast<size_t>(kRows));
+
+  // The edits landed on the tuples they named.
+  uint64_t hits = 0;
+  ASSERT_TRUE(prot->LookupEq(RelationalTargetDb::kKeyIndex,
+                             {Datum("p" + std::to_string(1237))},
+                             [&](const relstore::Rid&,
+                                 const relstore::Row& row) {
+                               EXPECT_EQ(row[2].AsString(), "membrane");
+                               ++hits;
+                               return true;
+                             })
+                  .ok());
+  EXPECT_EQ(hits, 1u);
 }
 
 TEST(EndToEndTest, RelationalSourceFeedsTreeTarget) {

@@ -2,7 +2,8 @@
 """Scrape a cpdb /metrics endpoint and validate the exposition.
 
     python3 tools/ci/scrape_metrics.py http://127.0.0.1:7192/metrics \
-        --out=scrape.txt [--prev=earlier.txt] [--require=cpdb_commits_total]...
+        --out=scrape.txt [--prev=earlier.txt] [--require=cpdb_commits_total]... \
+        [--delta-le='A<=B']...
 
 Checks, in order:
 
@@ -16,6 +17,10 @@ Checks, in order:
    _bucket/_count/_sum) must be monotonically non-decreasing versus the
    earlier scrape — a counter that moves backwards means the registry
    dropped or reset state mid-run.
+4. With --prev, every --delta-le='A<=B' (A and B full series keys,
+   `name{labels}`) requires A's growth since the earlier scrape to be at
+   most B's — a work-counter bound, e.g. heap-scan rows of the served
+   table never exceeding the rows that full snapshot rebuilds read.
 
 Exit 0 on success; nonzero with a message on any violation. Used by the
 CI socket smoke (scrape under load, scrape after, diff) and handy for
@@ -124,6 +129,9 @@ def main():
     ap.add_argument("--prev", help="earlier scrape to diff against")
     ap.add_argument("--require", action="append", default=[],
                     help="series name that must be present (repeatable)")
+    ap.add_argument("--delta-le", action="append", default=[],
+                    help="'A<=B': series A must grow no more than series B "
+                         "since --prev (repeatable)")
     ap.add_argument("--timeout", type=float, default=10.0)
     args = ap.parse_args()
 
@@ -155,6 +163,22 @@ def main():
                     f"{key}: {prev_samples[key]} -> {samples[key]}")
         if regressions:
             fail("counters moved backwards:\n  " + "\n  ".join(regressions))
+        for bound in args.delta_le:
+            lhs, sep, rhs = bound.partition("<=")
+            if not sep:
+                fail(f"--delta-le {bound!r}: expected 'A<=B'")
+            growth = []
+            for key in (lhs.strip(), rhs.strip()):
+                if key not in samples:
+                    fail(f"--delta-le: series {key!r} absent")
+                growth.append(samples[key] - prev_samples.get(key, 0.0))
+            if growth[0] > growth[1]:
+                fail(f"{lhs.strip()} grew {growth[0]:g} but "
+                     f"{rhs.strip()} only {growth[1]:g}")
+            print(f"scrape_metrics: {lhs.strip()} +{growth[0]:g} <= "
+                  f"{rhs.strip()} +{growth[1]:g}")
+    elif args.delta_le:
+        fail("--delta-le needs --prev")
 
     print(f"scrape_metrics: OK ({len(samples)} series, "
           f"{len(types)} metric names"

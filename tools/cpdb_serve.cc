@@ -48,6 +48,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -118,20 +119,54 @@ int main(int argc, char** argv) {
   }
   if (!db->GetTable("data").ok()) {
     auto created = db->CreateTable("data", DataSchema());
-    if (!created.ok()) {
+    Status keyed = created.ok()
+                       ? wrap::RelationalTargetDb::CreateKeyIndex(*created)
+                       : created.status();
+    if (!keyed.ok()) {
       std::fprintf(stderr, "cpdb_serve: create table: %s\n",
-                   created.status().ToString().c_str());
+                   keyed.ToString().c_str());
       return 1;
     }
-    // Persist the DDL now: a server killed before its first commit must
-    // still reopen with the schema on disk.
+    // Persist the DDL now — table and key index in one log record: a
+    // server killed before its first commit must still reopen with the
+    // schema on disk.
     if (db->durable()) (void)db->Sync();
   }
 
   provenance::ProvBackend backend(db.get());
   wrap::RelationalTargetDb target("T", db.get(),
                                   std::vector<std::string>{"data"});
+  // Every tuple is located through data's key index. A store made before
+  // the index existed has none, and an index can only be added to an
+  // empty table: refuse it rather than serve without the access path.
+  Status keyed = target.CheckKeyIndexes();
+  if (!keyed.ok()) {
+    std::fprintf(stderr,
+                 "cpdb_serve: store %s: %s; start a fresh store (--wipe) "
+                 "and reload its rows\n",
+                 dir.empty() ? "<in-memory>" : dir.c_str(),
+                 keyed.ToString().c_str());
+    return 1;
+  }
   service::Engine engine(&backend, &target);
+  // Work per access path of the served table, read at scrape time. A
+  // heap scan of data is a full snapshot rebuild; field edits probe the
+  // key index.
+  const relstore::Table* data = db->GetTable("data").value();
+  auto rows_examined = [&engine](const std::string& path,
+                                 const std::string& json_key,
+                                 std::function<double()> fn) {
+    engine.metrics().SetCallback(
+        "cpdb_relstore_rows_examined_total",
+        "Rows read per relstore access path", /*monotonic=*/true,
+        std::move(fn), "table=\"data\",path=\"" + path + "\"", json_key);
+  };
+  rows_examined("heap_scan", "data_heap_scan_rows", [data] {
+    return static_cast<double>(data->heap_scan_rows());
+  });
+  rows_examined("index", "data_index_rows", [data] {
+    return static_cast<double>(data->index_rows());
+  });
   const double slow_query_ms = flags.GetDouble("slow-query-ms", 0);
   if (slow_query_ms > 0) {
     engine.SetSlowQueryThresholdUs(slow_query_ms * 1000.0);
@@ -228,8 +263,8 @@ int main(int argc, char** argv) {
   }
 
   auto count = [&engine](const char* name) {
-    return static_cast<unsigned long long>(
-        engine.metrics().GetCounter(name, "")->Value());
+    const obs::Counter* c = engine.metrics().FindCounter(name);
+    return c == nullptr ? 0ULL : static_cast<unsigned long long>(c->Value());
   };
   std::printf("cpdb_serve: drained (conns=%llu requests=%llu retries=%llu "
               "bad_frames=%llu last_tid=%lld)\n",
