@@ -30,9 +30,8 @@ int main(int argc, char** argv) {
               "transaction length vs processing time (HT, 3500-real, us)");
   std::printf("steps=%zu\n\n", base.steps);
 
-  std::printf("%-10s %10s %10s %10s %12s %12s | %9s %12s\n", "txn-len",
-              "add", "delete", "copy", "commit", "amortized", "write-RTs",
-              "write-RTs(old)");
+  std::printf("%-10s %10s %10s %10s %12s %12s | %9s\n", "txn-len", "add",
+              "delete", "copy", "commit", "amortized", "write-RTs");
   for (size_t txn_len : {size_t{7}, size_t{100}, size_t{500}, size_t{1000}}) {
     RunConfig cfg = base;
     cfg.txn_len = txn_len;
@@ -43,18 +42,13 @@ int main(int argc, char** argv) {
             : (st.add_prov.total_us + st.del_prov.total_us +
                st.copy_prov.total_us + st.commit_prov.total_us) /
                   static_cast<double>(st.applied);
-    // What the pre-refactor write path would have paid for this run: the
-    // provenance side already group-committed (one WriteRecords per
-    // non-empty commit — unchanged), but every committed op used to reach
-    // the target as its own ApplyNative round trip, where the batched
-    // path issues one target ApplyBatch per commit. Mirrors fig13's
-    // measured-vs-legacy read comparison, on the write side.
+    // Write round trips on the batched path: one provenance WriteRecords
+    // and one target ApplyBatch per non-empty commit.
     size_t write_rts = st.prov_write_trips + st.target_write_trips;
-    size_t write_rts_legacy = st.prov_write_trips + st.applied;
-    std::printf("%-10zu %10.2f %10.2f %10.2f %12.1f %12.2f | %9zu %12zu\n",
+    std::printf("%-10zu %10.2f %10.2f %10.2f %12.1f %12.2f | %9zu\n",
                 txn_len, st.add_prov.Avg(), st.del_prov.Avg(),
                 st.copy_prov.Avg(), st.commit_prov.Avg(), amortized,
-                write_rts, write_rts_legacy);
+                write_rts);
     report.AddRow()
         .Set("txn_len", txn_len)
         .Set("ops", st.applied)
@@ -71,7 +65,6 @@ int main(int argc, char** argv) {
         .Set("target_write_round_trips", st.target_write_trips)
         .Set("target_write_rows", st.target_write_rows)
         .Set("write_round_trips_total", write_rts)
-        .Set("write_round_trips_legacy", write_rts_legacy)
         .Set("prov_bytes", st.prov_bytes)
         .Set("real_ms", st.real_ms);
   }
@@ -79,9 +72,7 @@ int main(int argc, char** argv) {
       "\nShape check vs paper: per-op times flat; commit grows ~linearly\n"
       "with transaction length; amortized per-op time ~constant.\n"
       "write-RTs is the measured write round-trip count on the batched\n"
-      "path (provenance + target); write-RTs(old) is what the\n"
-      "pre-refactor per-op native push would have issued for the same\n"
-      "run (lower is better; the gap is the write batching win).\n");
+      "path (provenance + target).\n");
   report.WriteTo(flags.GetString("json", ""));
   return 0;
 }

@@ -12,7 +12,6 @@
 // on getMod.
 
 #include <cstdio>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -44,8 +43,8 @@ int main(int argc, char** argv) {
   std::printf("steps=%zu queries=%zu indexes=%s\n\n", base.steps, n_queries,
               base.use_indexes ? "on" : "off (paper's worst case)");
 
-  std::printf("%-8s %12s %12s %12s %10s | %9s %12s\n", "method", "getSrc",
-              "getMod", "getHist", "rows", "mod-RTs", "mod-RTs(old)");
+  std::printf("%-8s %12s %12s %12s %10s | %9s\n", "method", "getSrc",
+              "getMod", "getHist", "rows", "mod-RTs");
   for (auto strat : kAllStrategies) {
     RunConfig cfg = base;
     cfg.strategy = strat;
@@ -84,30 +83,9 @@ int main(int argc, char** argv) {
       (void)q->GetHist(p);
     });
 
-    // What the pre-redesign (per-descendant) read path would have paid
-    // for the same getMod workload: one GetUnder, one GetAtLoc per
-    // distinct location found under p, and (hierarchical strategies) one
-    // point query per ancestor level — O(n) round trips where the cursor
-    // path issues O(depth + 1).
-    provenance::ProvBackend* backend = st.editor->store()->backend();
-    bool hierarchical = st.editor->store()->IsHierarchical();
-    double legacy_mod_rt = 0;
-    for (const tree::Path& p : locs) {
-      std::set<std::string> distinct;
-      provenance::ProvCursor under = backend->ScanUnder(p);
-      provenance::ProvRecord rec;
-      while (under.Next(&rec)) distinct.insert(rec.loc.ToString());
-      size_t trips = 1 + distinct.size();
-      if (hierarchical) {
-        for (tree::Path a = p; a.Depth() > 2; a = a.Parent()) ++trips;
-      }
-      legacy_mod_rt += static_cast<double>(trips);
-    }
-    legacy_mod_rt /= static_cast<double>(locs.size());
-
-    std::printf("%-8s %12.3f %12.3f %12.3f %10zu | %9.1f %12.1f\n",
+    std::printf("%-8s %12.3f %12.3f %12.3f %10zu | %9.1f\n",
                 provenance::StrategyShortName(strat), src_ms, mod_ms,
-                hist_ms, st.prov_rows, mod_rt, legacy_mod_rt);
+                hist_ms, st.prov_rows, mod_rt);
     report.AddRow()
         .Set("method", provenance::StrategyShortName(strat))
         .Set("ops", st.applied)
@@ -116,7 +94,6 @@ int main(int argc, char** argv) {
         .Set("gethist_ms", hist_ms)
         .Set("getsrc_round_trips", src_rt)
         .Set("getmod_round_trips", mod_rt)
-        .Set("getmod_round_trips_legacy", legacy_mod_rt)
         .Set("gethist_round_trips", hist_rt)
         .Set("prov_rows", st.prov_rows)
         .Set("prov_bytes", st.prov_bytes)
@@ -127,9 +104,7 @@ int main(int argc, char** argv) {
       "\nShape check vs paper: T fastest (~2.5x over N, its table is\n"
       "~25-35%% of N's); H beats N on getSrc/getHist but loses on getMod;\n"
       "HT == T on getSrc/getHist. mod-RTs is the measured getMod\n"
-      "round-trip count on the cursor read path; mod-RTs(old) is what the\n"
-      "pre-redesign per-descendant path would have issued for the same\n"
-      "workload (lower is better; the gap is the redesign's win).\n");
+      "round-trip count on the cursor read path.\n");
   report.WriteTo(flags.GetString("json", ""));
   return 0;
 }

@@ -38,9 +38,9 @@
 ///
 /// Migration note: ProvStore's vector-returning read methods
 /// (RecordsUnder, RecordsAtAncestors, RecordsForTid, AllRecords) were
-/// removed with the cursor redesign; their one-shot equivalents live on
-/// ProvBackend (GetUnder, GetAtLocOrAncestors, GetForTid, GetAll), each
-/// costing exactly one round trip.
+/// removed with the cursor redesign; drain the matching ProvBackend
+/// Scan* cursor instead. The remaining one-shot shims are
+/// ProvBackend::GetExact and GetAll, each costing exactly one round trip.
 ///
 /// Writes are batched and group-committed, symmetric with the reads
 /// (README "Write path"):
@@ -119,11 +119,10 @@
 /// leader/follower group commit: concurrent committers form a cohort
 /// that seals under ONE WAL record + ONE fsync (crash-atomic as a unit),
 /// and every transaction number comes from the engine's atomic allocator
-/// so sessions never mint the same tid. When the cohort's staged
-/// writesets claim pairwise-disjoint target subtrees, the leader applies
-/// them in parallel across Engine::EnableParallelApply's worker pool —
-/// same single grant, same single fsync. Reads (queries, cursor scans)
-/// run concurrently under shared grants; never commit while holding one.
+/// so sessions never mint the same tid. The leader applies the cohort's
+/// transactions one at a time, in enqueue order, under that single grant.
+/// Reads (queries, cursor scans) run concurrently under shared grants;
+/// never commit while holding one.
 ///
 /// Snapshots are versioned, not copied (MVCC-lite): the committed state
 /// carries a commit-ordered tid watermark (Engine::CommittedTid), and a

@@ -60,7 +60,7 @@ std::vector<tree::Path> Editor::WriteClaims(
     const tree::Path& p =
         u.kind == OpKind::kCopy ? u.target.Parent() : u.target;
     auto rel = p.RelativeTo(target_root_);
-    if (!rel.ok()) return {};  // not rebasable: never parallelize
+    if (!rel.ok()) return {};  // not rebasable: no writeset to show
     claims.push_back(*std::move(rel));
   }
   // Normalize to a prefix-free set: drop duplicates and claims already

@@ -98,9 +98,8 @@ class Editor {
 
   /// The staged transaction's writeset: target-relative roots of every
   /// subtree its commit-time native replay writes (for T/HT, the child
-  /// maps its inserts/deletes/pastes mutate). The commit queue batches
-  /// transactions with pairwise-disjoint writesets onto the apply pool.
-  /// Empty when any op cannot be rebased (never parallelized).
+  /// maps its inserts/deletes/pastes mutate), shown in a traced commit's
+  /// commit.apply span. Empty when any op cannot be rebased.
   std::vector<tree::Path> StagedWriteClaims() const {
     return WriteClaims(txn_script_);
   }

@@ -57,13 +57,11 @@ ProvBackend ProvBackend::View(ProvBackend* shared,
   view.meta_ = shared->meta_;
   view.use_indexes_ = shared->use_indexes_;
   view.sink_ = sink;
-  view.write_mu_ = shared->write_mu_;
   return view;
 }
 
 ProvBackend::ProvBackend(relstore::Database* db, bool use_indexes)
-    : db_(db), use_indexes_(use_indexes), sink_(&db->cost()),
-      write_mu_(std::make_shared<Mutex>()) {
+    : db_(db), use_indexes_(use_indexes), sink_(&db->cost()) {
   Schema prov_schema({{"Tid", ColumnType::kInt64, false},
                       {"Op", ColumnType::kString, false},
                       {"Loc", ColumnType::kString, false},
@@ -216,7 +214,6 @@ bool ProvCursor::Next(ProvRecord* rec) {
 // ----- Writes --------------------------------------------------------------
 
 Status ProvBackend::WriteRecords(const std::vector<ProvRecord>& records) {
-  MutexLock write_gate(*write_mu_);
   relstore::WriteBatch batch;
   size_t bytes = 0;
   for (const ProvRecord& rec : records) {
@@ -232,7 +229,6 @@ Status ProvBackend::WriteRecords(const std::vector<ProvRecord>& records) {
 }
 
 Status ProvBackend::WriteTxnMeta(const TxnMeta& meta) {
-  MutexLock write_gate(*write_mu_);
   CPDB_RETURN_IF_ERROR(
       meta_
           ->Insert(Row{Datum(meta.tid), Datum(meta.user),
@@ -362,23 +358,6 @@ Result<std::vector<ProvRecord>> ProvBackend::Drain(ProvCursor cursor) {
 Result<std::vector<ProvRecord>> ProvBackend::GetExact(int64_t tid,
                                                       const tree::Path& loc) {
   return LookupMany(tid, {loc});
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetAtLoc(const tree::Path& loc) {
-  return Drain(ScanAtLoc(loc));
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetUnder(const tree::Path& loc) {
-  return Drain(ScanUnder(loc));
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetAtLocOrAncestors(
-    const tree::Path& loc) {
-  return Drain(ScanAtLocOrAncestors(loc, /*include_self=*/true));
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetForTid(int64_t tid) {
-  return Drain(ScanForTid(tid));
 }
 
 Result<std::vector<ProvRecord>> ProvBackend::GetAll() {

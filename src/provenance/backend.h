@@ -5,11 +5,8 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "provenance/prov_record.h"
 #include "relstore/database.h"
-#include "util/mutex.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
 
@@ -98,14 +95,13 @@ class ProvCursor {
 ///
 /// Reads are cursor- and batch-oriented: the Scan* factories stream
 /// ordered ranges off the B+-tree leaf chain, and LookupMany resolves a
-/// whole batch of (tid, loc) points in one round trip. The vector-
-/// returning Get* methods are retained as one-shot shims (each drains a
-/// cursor in a single fetch, so its cost is exactly one round trip, as
-/// before). When `use_indexes` is false, the first fetch of every
-/// statement is charged as a full table scan, reproducing the paper's
-/// query-time experiment setup ("No indexing was performed on the
-/// provenance relation, so these query times represent worst-case
-/// behavior", Section 4.1); results are identical either way.
+/// whole batch of (tid, loc) points in one round trip. GetExact and
+/// GetAll are one-shot shims (each costs exactly one round trip). When
+/// `use_indexes` is false, the first fetch of every statement is charged
+/// as a full table scan, reproducing the paper's query-time experiment
+/// setup ("No indexing was performed on the provenance relation, so these
+/// query times represent worst-case behavior", Section 4.1); results are
+/// identical either way.
 ///
 /// Thread safety (the shared-table contract of the service layer): a
 /// ProvBackend handle itself holds no locks — its fields are borrowed
@@ -115,14 +111,9 @@ class ProvCursor {
 ///
 ///  * WriteRecords / WriteTxnMeta mutate the shared tables and must run
 ///    inside the engine's exclusive grant (commit closures do — they
-///    execute on the CommitQueue leader or its apply pool, which hold the
-///    latch). Within that grant the backend adds its own serialization: a
-///    write mutex shared by the owning handle and every View(), so the
-///    disjoint-subtree parallel apply can run commit closures of SEVERAL
-///    transactions concurrently — their target writes are disjoint by
-///    construction, and their provenance writes interleave safely here
-///    (whole batches serialize; {Tid, Loc} keys never collide across
-///    transactions, so order between batches is immaterial);
+///    execute on the CommitQueue leader, which holds the latch and runs
+///    its cohort's closures one at a time, so writes never overlap and
+///    the backend adds no lock of its own);
 ///  * every Scan*/Get*/Lookup* factory and the cursors it returns must
 ///    run inside a shared grant, drained before the grant is released;
 ///  * cost charges land on `cost_sink()`, which the service layer points
@@ -213,20 +204,6 @@ class ProvBackend {
   Result<std::vector<ProvRecord>> GetExact(int64_t tid,
                                            const tree::Path& loc);
 
-  /// All records at this loc across transactions, ordered by Tid.
-  Result<std::vector<ProvRecord>> GetAtLoc(const tree::Path& loc);
-
-  /// All records whose Loc equals `loc` or lies strictly below it,
-  /// ordered by (Loc, Tid).
-  Result<std::vector<ProvRecord>> GetUnder(const tree::Path& loc);
-
-  /// All records whose Loc is `loc` or any of its ancestors, ordered by
-  /// (Loc, Tid) — one client call (see ScanAtLocOrAncestors).
-  Result<std::vector<ProvRecord>> GetAtLocOrAncestors(const tree::Path& loc);
-
-  /// All records of one transaction, ordered by Loc.
-  Result<std::vector<ProvRecord>> GetForTid(int64_t tid);
-
   /// Everything, ordered by (tid, loc). (Used by tests and expansion.)
   Result<std::vector<ProvRecord>> GetAll();
 
@@ -285,11 +262,6 @@ class ProvBackend {
   bool use_indexes_ = true;
   relstore::CostModel* sink_ = nullptr;  ///< defaults to &db_->cost()
   int64_t read_watermark_ = -1;  ///< per-handle snapshot bound; -1 = all
-  /// Serializes table mutations across this handle and all its Views —
-  /// the parallel-apply write gate (see the thread-safety contract above).
-  /// shared_ptr so View-copies share the owner's mutex; null only on a
-  /// detached handle.
-  std::shared_ptr<Mutex> write_mu_;
 };
 
 }  // namespace cpdb::provenance

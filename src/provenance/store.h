@@ -119,9 +119,9 @@ class ProvStore {
   //
   // Migration note: the vector-returning RecordsUnder / RecordsAtAncestors
   // / RecordsForTid / AllRecords methods were removed with the cursor
-  // redesign; their one-shot equivalents live on ProvBackend (GetUnder,
-  // GetAtLocOrAncestors, GetForTid, GetAll), each costing exactly one
-  // round trip.
+  // redesign; drain the matching ProvBackend Scan* cursor instead (one
+  // round trip when the result fits one fetch). ProvBackend::GetAll
+  // remains as the one-shot equivalent of AllRecords.
 
   /// Effective provenance of `loc` in transaction `tid`, applying the
   /// hierarchical inference rules where the strategy requires it

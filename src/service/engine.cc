@@ -36,10 +36,6 @@ void Engine::WireMetrics() {
   qm.cohort_size = metrics_.GetHistogram(
       "cpdb_commit_cohort_size", "Members per group-commit cohort", "",
       "cohort_size");
-  qm.parallel_batch = metrics_.GetHistogram(
-      "cpdb_commit_parallel_batch_size",
-      "Members per disjoint-subtree parallel apply run", "",
-      "parallel_batch_size");
   qm.commits = counter("cpdb_commits_total", "Transactions committed",
                        "commits");
   qm.cohorts = counter("cpdb_cohorts_total", "Group-commit cohorts sealed",
@@ -49,13 +45,6 @@ void Engine::WireMetrics() {
                         "combined");
   qm.max_cohort = metrics_.GetGauge(
       "cpdb_max_cohort", "Largest cohort sealed so far", "", "max_cohort");
-  qm.parallel_cohorts =
-      counter("cpdb_parallel_cohorts_total",
-              "Disjoint-subtree batches applied in parallel",
-              "parallel_cohorts");
-  qm.parallel_applies =
-      counter("cpdb_parallel_applies_total",
-              "Commits applied on the worker pool", "parallel_applies");
   queue_.set_metrics(qm);
 
   SnapshotManager::Metrics vm;

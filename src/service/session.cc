@@ -11,12 +11,9 @@ Session::~Session() {
 Status Session::Apply(const update::Update& u) {
   if (per_op_) {
     // One op = one transaction (N/H): apply under the exclusive grant and
-    // ride the cohort's single fsync. Per-op commits declare no writeset
-    // (they always apply in order); a traced one still shows it.
-    std::vector<tree::Path> shown;
-    if (traced()) shown = editor_->WriteClaims({u});
-    return CommitTraced([&] { return editor_->ApplyUpdate(u); }, {},
-                        std::move(shown));
+    // ride the cohort's single fsync.
+    return CommitTraced([&] { return editor_->ApplyUpdate(u); },
+                        [&] { return editor_->WriteClaims({u}); });
   }
   return editor_->ApplyUpdate(u);
 }
@@ -25,40 +22,36 @@ Status Session::ApplyScript(const update::Script& script, size_t* applied) {
   if (per_op_) {
     // The whole staged batch (one tid per op, one WriteRecords, one
     // native ApplyBatch) is one commit unit.
-    std::vector<tree::Path> shown;
-    if (traced()) shown = editor_->WriteClaims(script);
     return CommitTraced([&] { return editor_->ApplyScript(script, applied); },
-                        {}, std::move(shown));
+                        [&] { return editor_->WriteClaims(script); });
   }
   return editor_->ApplyScript(script, applied);
 }
 
 Status Session::Commit() {
   if (per_op_) return editor_->Commit();  // store-level no-op, latch-free
-  // Declare the staged writeset before enqueueing: disjoint cohort-mates
-  // go to the apply pool together (empty claims = in-order apply).
   return CommitTraced([&] { return editor_->Commit(); },
-                      editor_->StagedWriteClaims());
+                      [&] { return editor_->StagedWriteClaims(); });
 }
 
-Status Session::CommitTraced(std::function<Status()> apply,
-                             std::vector<tree::Path> claims,
-                             std::vector<tree::Path> shown) {
+Status Session::CommitTraced(
+    std::function<Status()> apply,
+    const std::function<std::vector<tree::Path>()>& claims) {
   if (!traced()) {
     // Untraced: no strings rendered, no locks taken for tracing.
-    Status st = engine_->Commit(std::move(apply), std::move(claims));
+    Status st = engine_->Commit(std::move(apply));
     if (st.ok()) AdvanceReadWatermark();
     return st;
   }
-  // Render the claim set before the queue consumes it: the trace is for
-  // a human reading TRACES, so strings beat live Paths.
+  // Read the writeset before `apply` commits (and clears) the staging.
+  // The trace is for a human reading TRACES, so strings beat live Paths.
   std::string claim_text;
-  for (const tree::Path& p : claims.empty() ? shown : claims) {
+  for (const tree::Path& p : claims()) {
     if (!claim_text.empty()) claim_text.push_back(',');
     claim_text += p.ToString();
   }
   CommitQueue::Timeline tl;
-  Status st = engine_->Commit(std::move(apply), std::move(claims), &tl);
+  Status st = engine_->Commit(std::move(apply), &tl);
   if (!st.ok()) return st;
   AdvanceReadWatermark();
 
@@ -75,8 +68,7 @@ Status Session::CommitTraced(std::function<Status()> apply,
   const std::string apply_detail =
       "cohort=" + std::to_string(tl.cohort) +
       " cohort_size=" + std::to_string(tl.cohort_size) +
-      " leader=" + (tl.leader ? "1" : "0") +
-      " parallel=" + (tl.parallel ? "1" : "0") + " claims=" + claim_text;
+      " leader=" + (tl.leader ? "1" : "0") + " claims=" + claim_text;
   const struct {
     const char* kind;
     double dur;

@@ -66,9 +66,7 @@ class Session {
   Status ApplyScript(const update::Script& script, size_t* applied = nullptr);
 
   /// Commits the staged transaction through the engine's group-commit
-  /// queue (T/HT; blocks until the cohort's seal), declaring the staged
-  /// writeset so disjoint cohort-mates can apply in parallel. No-op for
-  /// N/H.
+  /// queue (T/HT; blocks until the cohort's seal). No-op for N/H.
   Status Commit();
 
   /// Reverts the uncommitted transaction (T/HT; local, latch-free).
@@ -129,13 +127,11 @@ class Session {
   /// engine's group-commit queue and advances the read watermark. With a
   /// collector attached (set_trace) it also appends the transaction's
   /// stage spans; the commit.apply span's detail names the cohort (id,
-  /// size, leader/parallel flags) and the claims. Without one it renders
-  /// nothing and takes no lock for tracing.
-  /// `shown` stands in for `claims` in the trace when the commit unit
-  /// declares none (per-op commits).
+  /// size, leader flag) and the unit's writeset, which `claims` computes
+  /// only when traced. Without one it renders nothing and takes no lock
+  /// for tracing.
   Status CommitTraced(std::function<Status()> apply,
-                      std::vector<tree::Path> claims,
-                      std::vector<tree::Path> shown = {});
+                      const std::function<std::vector<tree::Path>()>& claims);
 
   bool traced() const {
     return trace_sink_ != nullptr && trace_sink_->active();

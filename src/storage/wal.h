@@ -27,9 +27,7 @@ namespace cpdb::storage {
 /// Thread safety: internally synchronized. Every mutating entry point
 /// serializes on an internal mutex (GUARDED_BY-checked under
 /// -Wthread-safety), so concurrent appenders cannot interleave a frame —
-/// today the Durability engine is the only caller and already serializes,
-/// but the invariant is load-bearing for the planned MVCC write path
-/// where disjoint-subtree committers log in parallel.
+/// today the Durability engine is the only caller and already serializes.
 class Wal {
  public:
   /// Opens (creating if needed) the log at `path` for appending.

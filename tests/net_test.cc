@@ -382,10 +382,10 @@ TEST(NetServerTest, PingApplyCommitQuery) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"last_tid\":1"), std::string::npos) << *stats;
   // The MVCC surface is visible to operators: the committed watermark,
-  // the version chain, and the parallel-apply counters all ride STATS.
+  // the version chain, and the group-commit counters all ride STATS.
   EXPECT_NE(stats->find("\"committed_tid\":1"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"versions_live\":"), std::string::npos) << *stats;
-  EXPECT_NE(stats->find("\"parallel_cohorts\":"), std::string::npos) << *stats;
+  EXPECT_NE(stats->find("\"cohorts\":"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"snapshot_rebuilds\":"), std::string::npos)
       << *stats;
 

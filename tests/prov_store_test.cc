@@ -8,6 +8,7 @@
 #include "provenance/naive_store.h"
 #include "provenance/txn_store.h"
 #include "relstore/database.h"
+#include "test_util.h"
 
 namespace cpdb::provenance {
 namespace {
@@ -228,7 +229,7 @@ TEST(BackendTest, GetUnderIsPathAware) {
                                  ProvRecord::Insert(3, P("T/c10")),
                                  ProvRecord::Insert(4, P("T/c2"))})
                   .ok());
-  auto under = fx.backend.GetUnder(P("T/c1"));
+  auto under = testutil::Drain(fx.backend.ScanUnder(P("T/c1")));
   ASSERT_TRUE(under.ok());
   ASSERT_EQ(under->size(), 2u);  // c1 and c1/x, NOT c10
   EXPECT_EQ((*under)[0].loc, P("T/c1"));
@@ -243,15 +244,15 @@ TEST(BackendTest, GetAtLocOrAncestorsWalksUp) {
                                  ProvRecord::Insert(3, P("T/zz"))})
                   .ok());
   size_t calls0 = fx.db.cost().Calls();
-  auto recs = fx.backend.GetAtLocOrAncestors(P("T/a/b/c"));
+  auto recs = testutil::Drain(
+      fx.backend.ScanAtLocOrAncestors(P("T/a/b/c"), /*include_self=*/true));
   ASSERT_TRUE(recs.ok());
   EXPECT_EQ(fx.db.cost().Calls() - calls0, 1u);  // ONE client call
   ASSERT_EQ(recs->size(), 2u);  // T/a and T/a/b/c, not T/zz
 }
 
 // Regression for the documented ordering contract: GetAll yields
-// (tid, loc) order, and the streaming cursors guarantee the same orders
-// as their one-shot shims.
+// (tid, loc) order, and ScanAll streams the same order as that shim.
 TEST(BackendTest, GetAllIsTidLocOrderedAndCursorsAgree) {
   Fixture fx;
   // Written deliberately out of (tid, loc) order.

@@ -560,89 +560,46 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
   pool.Release(std::move(*s));
 }
 
-// ----- Disjoint-subtree parallel apply -------------------------------------
+// ----- In-order cohort apply ----------------------------------------------
 
-TEST(ServiceParallelApplyTest, DisjointCohortAppliesOnThePoolUnderOneFsync) {
-  TempDir dir("svc_parallel");
-  auto opened = relstore::Database::Open("provdb", dir.path());
-  ASSERT_TRUE(opened.ok());
-  std::unique_ptr<relstore::Database> db = std::move(opened).value();
-  provenance::ProvBackend backend(db.get());
+// The leader runs every commit closure itself, one at a time: that is the
+// whole concurrency contract of the apply phase (ProvBackend's writes and
+// the target's native replay take no lock of their own).
+TEST(ServiceCommitQueueTest, CommitClosuresNeverOverlap) {
+  relstore::Database db("provdb");
+  provenance::ProvBackend backend(&db);
   wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
   Engine engine(&backend, &target);
-  engine.EnableParallelApply(2);
-  service::SessionOptions opts;
-  opts.strategy = Strategy::kHierarchicalTransactional;
-  SessionPool pool(&engine, opts);
 
-  // Carve out one subtree per committer so the staged claims (the child
-  // maps the native replay mutates) are pairwise disjoint.
-  {
-    auto s = pool.Acquire();
-    ASSERT_TRUE(s.ok());
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*s)
-                      ->Apply(Update::Insert(Path::MustParse("T"),
-                                             "p" + std::to_string(i)))
-                      .ok());
-    }
-    ASSERT_TRUE((*s)->Commit().ok());
-    pool.Release(std::move(*s));
-  }
-
-  const char* const kQueueCounters[] = {
-      "cpdb_commits_total", "cpdb_cohorts_total",
-      "cpdb_parallel_cohorts_total", "cpdb_parallel_applies_total"};
-  std::map<std::string, uint64_t> before;
-  for (const char* name : kQueueCounters) before[name] = Count(engine, name);
-  size_t fsyncs_before = db->cost().Fsyncs();
-
-  // Stage three disjoint writers, then pin the engine in a read grant so
-  // all three pile onto the queue: a guaranteed cohort.
-  std::vector<std::unique_ptr<Session>> sessions;
-  for (int i = 0; i < 3; ++i) {
-    auto s = pool.Acquire();
-    ASSERT_TRUE(s.ok());
-    Path base = Path::MustParse("T/p" + std::to_string(i));
-    ASSERT_TRUE((*s)->Apply(Update::Insert(base, "x", tree::Value(int64_t{i})))
-                    .ok());
-    sessions.push_back(std::move(*s));
-  }
+  constexpr int kThreads = 8;
+  constexpr int kCommitsPerThread = 50;
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
   std::vector<std::thread> committers;
-  {
-    auto guard = engine.Read();
-    for (int i = 0; i < 3; ++i) {
-      committers.emplace_back(
-          [&, i] { ASSERT_TRUE(sessions[i]->Commit().ok()); });
-    }
-    while (engine.commit_queue().Pending() < 3) {
-      std::this_thread::yield();
-    }
+  for (int t = 0; t < kThreads; ++t) {
+    committers.emplace_back([&] {
+      for (int i = 0; i < kCommitsPerThread; ++i) {
+        Status st = engine.Commit([&] {
+          int now = in_flight.fetch_add(1) + 1;
+          int seen = max_in_flight.load();
+          while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::yield();  // widen the window for an overlap
+          in_flight.fetch_sub(1);
+          return Status::OK();
+        });
+        ASSERT_TRUE(st.ok()) << st.ToString();
+      }
+    });
   }
   for (auto& th : committers) th.join();
-  for (auto& s : sessions) pool.Release(std::move(s));
 
-  auto delta = [&](const char* name) {
-    return Count(engine, name) - before[name];
-  };
-  EXPECT_EQ(delta("cpdb_commits_total"), 3u);
-  EXPECT_EQ(delta("cpdb_cohorts_total"), 1u);
-  // The disjoint batch went to the apply pool...
-  EXPECT_EQ(delta("cpdb_parallel_cohorts_total"), 1u);
-  EXPECT_EQ(delta("cpdb_parallel_applies_total"), 3u);
-  // ...and still sealed under exactly ONE fsync barrier (the commit
-  // queue aborts the process if a parallel cohort ever syncs twice).
-  EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
-
-  for (int i = 0; i < 3; ++i) {
-    const tree::Tree* node = target.content().Find(
-        Path::MustParse("p" + std::to_string(i) + "/x"));
-    ASSERT_NE(node, nullptr) << "p" << i << "/x missing";
-  }
-  EXPECT_EQ(backend.RowCount(), 3u + 3u);  // setup + cohort
+  EXPECT_EQ(max_in_flight.load(), 1);
+  EXPECT_EQ(Count(engine, "cpdb_commits_total"),
+            uint64_t{kThreads} * kCommitsPerThread);
 }
 
-TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
+TEST(ServiceCommitQueueTest, CohortAppliesPrefixRelatedCommitsInEnqueueOrder) {
   TempDir dir("svc_overlap");
   auto opened = relstore::Database::Open("provdb", dir.path());
   ASSERT_TRUE(opened.ok());
@@ -650,7 +607,6 @@ TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
   provenance::ProvBackend backend(db.get());
   wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
   Engine engine(&backend, &target);
-  engine.EnableParallelApply(2);
   service::SessionOptions opts;
   opts.strategy = Strategy::kHierarchicalTransactional;
   SessionPool pool(&engine, opts);
@@ -667,8 +623,8 @@ TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
   }
 
   // Session A writes INSIDE T/p0/c (claim p0/c); session B deletes c
-  // itself (claim p0). The claims are prefix-related, so the cohort must
-  // apply in queue order — A first, then B — never on the pool.
+  // itself (claim p0). The writesets are prefix-related, so the outcome
+  // depends on order: the cohort applies in queue order, A first, then B.
   auto sa = pool.Acquire();
   auto sb = pool.Acquire();
   ASSERT_TRUE(sa.ok() && sb.ok());
@@ -676,9 +632,8 @@ TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
       (*sa)->Apply(Update::Insert(Path::MustParse("T/p0/c"), "k")).ok());
   ASSERT_TRUE((*sb)->Apply(Update::Delete(Path::MustParse("T/p0"), "c")).ok());
 
-  const char* const kQueueCounters[] = {
-      "cpdb_commits_total", "cpdb_cohorts_total",
-      "cpdb_parallel_cohorts_total", "cpdb_parallel_applies_total"};
+  const char* const kQueueCounters[] = {"cpdb_commits_total",
+                                        "cpdb_cohorts_total"};
   std::map<std::string, uint64_t> before;
   for (const char* name : kQueueCounters) before[name] = Count(engine, name);
   std::thread ta, tb;
@@ -699,8 +654,6 @@ TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
   };
   EXPECT_EQ(delta("cpdb_commits_total"), 2u);
   EXPECT_EQ(delta("cpdb_cohorts_total"), 1u);
-  EXPECT_EQ(delta("cpdb_parallel_cohorts_total"), 0u);
-  EXPECT_EQ(delta("cpdb_parallel_applies_total"), 0u);
   // In-order semantics: the insert landed inside c, then the delete took
   // the whole subtree out.
   const tree::Tree& final_content = target.content();
@@ -767,7 +720,8 @@ TEST_P(ServiceOracleTest, WritersAndReadersMatchSingleThreadedReplay) {
             }
           }
           ASSERT_TRUE(scan.status().ok());
-          auto under = session->backend()->GetUnder(Path::MustParse("T/w0"));
+          auto under = testutil::Drain(
+              session->backend()->ScanUnder(Path::MustParse("T/w0")));
           ASSERT_TRUE(under.ok());
         }
         rig.pool->Release(std::move(session));

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cpdb/cpdb.h"
 
@@ -167,6 +168,15 @@ inline size_t RunRandomWorkload(Session* s, workload::GenOptions gen_opts,
   }
   (void)s->editor->Commit();
   return applied;
+}
+
+/// Drains `cursor` in one fetch, so one round trip when it is fresh.
+inline Result<std::vector<provenance::ProvRecord>> Drain(
+    provenance::ProvCursor cursor) {
+  std::vector<provenance::ProvRecord> out;
+  cursor.Next(&out, provenance::ProvCursor::kNoLimit);
+  CPDB_RETURN_IF_ERROR(cursor.status());
+  return out;
 }
 
 }  // namespace cpdb::testutil
